@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "common/bench_util.h"
 #include "skute/backend/durable_backend.h"
 #include "skute/backend/factory.h"
 #include "skute/backend/file_segment_backend.h"
@@ -28,6 +27,9 @@
 #include "skute/backend/mmap_segment_backend.h"
 #include "skute/io/io_pool.h"
 #include "skute/obs/metrics_registry.h"
+#include "skute/obs/trace.h"
+#include "skute/scenario/report.h"
+#include "skute/scenario/spec.h"
 #include "skute/storage/replica_store.h"
 
 namespace skute {
@@ -401,10 +403,13 @@ obs::MetricsRegistry BuildBenchRegistry(
 
 int main(int argc, char** argv) {
   using namespace skute;
-  const bench::Args args =
-      bench::ParseArgs(argc, argv, /*supports_out=*/true,
-                       /*supports_metrics_json=*/true);
-  bench::StartTraceIfRequested(args);
+  const scenario::RunOverrides args = scenario::ParseOverrides(argc, argv);
+  if (!args.placement.empty()) {
+    std::fprintf(stderr,
+                 "warning: --placement is not supported by this bench "
+                 "(ignored)\n");
+  }
+  if (!args.trace.empty()) obs::Tracer::Global().Start();
 
   const std::string tmp_root =
       (std::filesystem::temp_directory_path() /
@@ -412,7 +417,7 @@ int main(int argc, char** argv) {
           .string();
   std::filesystem::create_directories(tmp_root);
 
-  bench::PrintHeader(
+  scenario::PrintHeader(
       "micro_storage_backends — pluggable storage engines",
       "replica placement is only priced correctly once transfers and "
       "maintenance hit a real persistence layer");
@@ -427,14 +432,14 @@ int main(int argc, char** argv) {
   configs[3].kind = BackendKind::kMmap;
   configs[3].data_dir = tmp_root + "/single_mmap";
 
-  bench::PrintSection("ops/sec + recovery per backend");
+  scenario::PrintSection("ops/sec + recovery per backend");
   std::vector<BackendRun> runs;
   for (const BackendConfig& config : configs) {
     runs.push_back(RunSingleBackend(config, tmp_root));
     PrintRun(runs.back());
   }
 
-  bench::PrintSection("1000-server transfer workload (snapshot streaming)");
+  scenario::PrintSection("1000-server transfer workload (snapshot streaming)");
   std::printf("%d servers x %d-record partitions, %d copy/move transfers\n",
               kServers, kRecordsPerPartition, kTransfers);
   std::vector<TransferRun> transfers;
@@ -454,7 +459,7 @@ int main(int argc, char** argv) {
                 t.intact, kServers);
   }
 
-  bench::PrintSection("group-commit fsync rate (I/O offload pool)");
+  scenario::PrintSection("group-commit fsync rate (I/O offload pool)");
   std::vector<GroupCommitRun> commits;
   for (const BackendConfig& config : configs) {
     if (config.kind == BackendKind::kMemory) continue;
@@ -472,7 +477,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(g.coalesced));
   }
 
-  bench::PrintSection("delta vs snapshot replication (log shipping)");
+  scenario::PrintSection("delta vs snapshot replication (log shipping)");
   const DeltaRun delta = RunDeltaWorkload();
   std::printf(
       "%d cold copies: %llu B   %d delta rounds x %d servers: %llu B "
@@ -482,7 +487,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(delta.delta_bytes),
       static_cast<unsigned long long>(delta.delta_transfers));
 
-  bench::ShapeChecks checks;
+  scenario::ShapeChecks checks;
   const size_t expected = static_cast<size_t>(kOps - kOps / 4);
   for (const BackendRun& r : runs) {
     checks.Check(r.name + ": live set correct after load+delete",
@@ -492,7 +497,7 @@ int main(int argc, char** argv) {
     checks.Check(r.name + ": recovery rebuilds every live record",
                  r.recovered == expected,
                  std::to_string(r.recovered) + " records recovered in " +
-                     bench::Fmt(r.recovery_sec, 4) + "s");
+                     scenario::Fmt(r.recovery_sec, 4) + "s");
   }
   checks.Check("memory backend does no log I/O",
                runs[0].io.log_bytes_written == 0, "baseline is free");
@@ -549,7 +554,18 @@ int main(int argc, char** argv) {
                 args.metrics_json.c_str());
   }
 
-  bench::FinishTraceIfRequested(args);
+  if (!args.trace.empty()) {
+    obs::Tracer::Global().Stop();
+    const Status written = obs::Tracer::Global().WriteChromeTrace(args.trace);
+    if (!written.ok()) {
+      std::fprintf(stderr, "writing --trace=%s failed: %s\n",
+                   args.trace.c_str(), written.ToString().c_str());
+    } else {
+      std::printf("trace written to %s (%zu spans); load it in Perfetto or "
+                  "chrome://tracing\n",
+                  args.trace.c_str(), obs::Tracer::Global().event_count());
+    }
+  }
   const int failures = checks.Summarize();
   std::error_code ec;
   std::filesystem::remove_all(tmp_root, ec);

@@ -1,7 +1,6 @@
 #include "skute/backend/durable_backend.h"
 
 #include "skute/obs/trace.h"
-#include "skute/storage/wal.h"
 
 namespace skute {
 
@@ -10,7 +9,8 @@ Status DurableBackend::Put(std::string_view key, std::string_view value) {
   const size_t record = EncodedWalRecordSize(key, value);
   io_.log_bytes_written += record;
   unflushed_ += record;
-  const Status st = store_.Put(key, value);
+  wal_.Append(WalOp::kPut, key, value);
+  const Status st = table_.Put(key, value);
   MaybeSubmitFlush();
   return st;
 }
@@ -19,11 +19,12 @@ Status DurableBackend::Delete(std::string_view key) {
   ++io_.deletes;
   // Uniform backend contract: a missing key is NotFound and nothing is
   // logged (the log holds only applied mutations, so it replays exactly).
-  if (!store_.Contains(key)) return Status::NotFound("key not found");
+  if (!table_.Contains(key)) return Status::NotFound("key not found");
   const size_t record = EncodedWalRecordSize(key, {});
   io_.log_bytes_written += record;
   unflushed_ += record;
-  const Status st = store_.Delete(key);
+  wal_.Append(WalOp::kDelete, key, {});
+  const Status st = table_.Delete(key);
   MaybeSubmitFlush();
   return st;
 }
@@ -36,9 +37,9 @@ std::string DurableBackend::ExportSnapshot() const {
   const uint64_t dump_estimate =
       ApproximateBytes() +
       static_cast<uint64_t>(Count()) * EncodedWalRecordSize({}, {});
-  if (!checkpointed_ && store_.log().size() <= dump_estimate) {
-    io_.snapshot_bytes_out += store_.log().size();
-    return store_.log();
+  if (!checkpointed_ && wal_.data().size() <= dump_estimate) {
+    io_.snapshot_bytes_out += wal_.data().size();
+    return wal_.data();
   }
   return StorageBackend::ExportSnapshot();
 }
@@ -52,7 +53,8 @@ Status DurableBackend::Flush() {
 }
 
 Status DurableBackend::Wipe() {
-  store_ = DurableKvStore();
+  table_ = KvStore();
+  wal_.Clear();
   unflushed_ = 0;
   checkpointed_ = false;
   base_seq_ = 0;
@@ -66,20 +68,31 @@ Result<size_t> DurableBackend::Recover(std::string_view log_bytes) {
   // Recovered records are applied to the memtable without re-logging, so
   // from here on the local log no longer covers the whole history.
   checkpointed_ = true;
-  if (store_.last_sequence() != 0) {
+  if (wal_.last_sequence() != 0) {
     // Interleaving unlogged records into a live log breaks the
     // local→global sequence mapping deltas rely on.
     delta_disabled_ = true;
   }
-  Result<size_t> applied = store_.Recover(log_bytes);
-  if (applied.ok()) base_seq_ += *applied;
+  WalReader reader(log_bytes);
+  size_t applied = 0;
+  // Replay in log order until the clean end (NotFound) or a corrupt
+  // tail: everything before the damage is recovered.
+  for (auto record = reader.Next(); record.ok(); record = reader.Next()) {
+    if (record->op == WalOp::kPut) {
+      SKUTE_RETURN_IF_ERROR(table_.Put(record->key, record->value));
+    } else {
+      (void)table_.Delete(record->key);
+    }
+    ++applied;
+  }
+  base_seq_ += applied;
   return applied;
 }
 
 void DurableBackend::Checkpoint() {
-  obs::TraceSpan span("io", "wal.checkpoint", store_.log().size());
-  base_seq_ += store_.last_sequence();
-  store_.Checkpoint();
+  obs::TraceSpan span("io", "wal.checkpoint", wal_.data().size());
+  base_seq_ += wal_.last_sequence();
+  wal_.Clear();
   unflushed_ = 0;
   checkpointed_ = true;
 }
@@ -103,7 +116,7 @@ Result<std::string> DurableBackend::ExportDelta(uint64_t since) const {
   // Records are framed and ordered in the log; find the byte offset of
   // the first record past `since` and ship the suffix verbatim.
   const uint64_t local_since = since - base_seq_;
-  WalReader reader(store_.log());
+  WalReader reader(wal_.data());
   size_t start = 0;
   for (;;) {
     const size_t before = reader.offset();
@@ -116,7 +129,7 @@ Result<std::string> DurableBackend::ExportDelta(uint64_t since) const {
       break;
     }
   }
-  std::string out = store_.log().substr(start);
+  std::string out = wal_.data().substr(start);
   io_.delta_bytes_out += out.size();
   obs::TraceSpan span("io", "delta.export", out.size());
   return out;

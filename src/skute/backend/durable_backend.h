@@ -5,44 +5,44 @@
 #include <string_view>
 
 #include "skute/backend/backend.h"
-#include "skute/storage/durable.h"
+#include "skute/storage/kvstore.h"
+#include "skute/storage/wal.h"
 
 namespace skute {
 
-/// \brief DurableKvStore behind the StorageBackend interface: every
-/// mutation is appended to the in-memory write-ahead log before it
-/// touches the memtable (the log-then-apply contract lives in
-/// DurableKvStore — this class only adapts it and meters IoStats).
-/// `log()` is what a deployment fsyncs/ships; Recover() replays a log
-/// over the current state and tolerates a corrupt tail; Checkpoint()
-/// drops the log once the memtable has been persisted elsewhere.
+/// \brief KvStore with a write-ahead log behind the StorageBackend
+/// interface: every mutation is appended to the in-memory WAL before it
+/// touches the memtable (the standard log-then-apply contract), so a
+/// crashed replica can be rebuilt by replaying the log. `log()` is what a
+/// deployment fsyncs/ships; Recover() replays a log over the current
+/// state and tolerates a corrupt tail; Checkpoint() drops the log once
+/// the memtable has been persisted elsewhere.
 ///
-/// One contract adaptation: the backend interface requires Delete of a
-/// missing key to be NotFound and unlogged, so the adapter checks
-/// Contains first (DurableKvStore itself logs blind deletes).
+/// Delete of a missing key is NotFound and nothing is logged: the log
+/// holds only applied mutations, so it replays exactly.
 class DurableBackend : public StorageBackend {
  public:
-  explicit DurableBackend(uint64_t seed = 0) : store_(seed) {}
+  explicit DurableBackend(uint64_t seed = 0) : table_(seed) {}
 
   BackendKind kind() const override { return BackendKind::kDurable; }
 
   Status Put(std::string_view key, std::string_view value) override;
   Result<std::string> Get(std::string_view key) const override {
     ++io_.gets;
-    return store_.Get(key);
+    return table_.Get(key);
   }
   Status Delete(std::string_view key) override;
   bool Contains(std::string_view key) const override {
-    return store_.Contains(key);
+    return table_.Contains(key);
   }
-  size_t Count() const override { return store_.Count(); }
+  size_t Count() const override { return table_.Count(); }
   uint64_t ApproximateBytes() const override {
-    return store_.ApproximateBytes();
+    return table_.ApproximateBytes();
   }
   std::vector<std::pair<std::string, std::string>> Scan(
       std::string_view start_key, size_t limit) const override {
     ++io_.scans;
-    return store_.table().Scan(start_key, limit);
+    return table_.Scan(start_key, limit);
   }
 
   /// The log *is* the snapshot while it covers the whole history and is
@@ -66,7 +66,7 @@ class DurableBackend : public StorageBackend {
   /// Global (checkpoint-surviving) sequence: WalWriter numbering restarts
   /// at every Checkpoint, so the backend carries the cumulative base.
   uint64_t DeltaSequence() const override {
-    return base_seq_ + store_.last_sequence();
+    return base_seq_ + wal_.last_sequence();
   }
 
   /// The log suffix with global sequence > `since`, verbatim (the records
@@ -78,8 +78,8 @@ class DurableBackend : public StorageBackend {
   // --- Durability-specific surface (bench + recovery tests) ---------------
 
   /// The serialized log since the last Checkpoint.
-  const std::string& log() const { return store_.log(); }
-  uint64_t last_sequence() const { return store_.last_sequence(); }
+  const std::string& log() const { return wal_.data(); }
+  uint64_t last_sequence() const { return wal_.last_sequence(); }
 
   /// Replays a serialized log over the current state; returns the number
   /// of records applied, stopping at (and tolerating) a corrupt tail.
@@ -92,7 +92,8 @@ class DurableBackend : public StorageBackend {
   uint64_t checkpoint_sequence() const { return base_seq_; }
 
  private:
-  DurableKvStore store_;
+  KvStore table_;
+  WalWriter wal_;
   /// Log bytes not yet "synced" by Flush().
   uint64_t unflushed_ = 0;
   /// Set once Checkpoint()/Recover() ran: the log no longer covers the

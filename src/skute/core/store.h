@@ -264,8 +264,8 @@ class SkuteStore {
 
   /// Monotonic counter bumped whenever any replica placement or ring
   /// structure changes (splits, repairs, migrations, suicides, failures).
-  /// Client-side routing caches (skute/core/router.h) revalidate against
-  /// it — the paper's "O(1) DHT": one staleness check, no hop chasing.
+  /// The engine's ShardPlanCache rebuilds its shard plan only when it
+  /// moves; metrics and the flight recorder report it.
   uint64_t placement_version() const { return placement_version_; }
 
   /// Aggregate I/O counters of every server's storage backends (zeroes

@@ -17,8 +17,7 @@ namespace skute {
 /// Wall-time accounting of one pipeline stage (ROADMAP "pipeline-stage
 /// metrics"): last run, lifetime totals, and the full per-run
 /// distribution (p50/p95/max via `hist`) — surfaced by
-/// MetricsCollector::WriteCsv, the micro benches, and the obs
-/// MetricsRegistry adapters.
+/// MetricsCollector::WriteCsv and the obs MetricsRegistry adapters.
 struct StageTiming {
   const char* name = "";
   EpochPhase phase = EpochPhase::kBegin;

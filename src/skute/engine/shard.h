@@ -75,8 +75,7 @@ class ShardPlanCache {
 
   void Invalidate() { plan_.reset(); }
 
-  /// Observability for the micro benches: how often the cache saved a
-  /// rebuild.
+  /// How often the cache built a plan and how often it saved a rebuild.
   uint64_t builds() const { return builds_; }
   uint64_t reuses() const { return reuses_; }
 

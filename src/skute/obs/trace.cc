@@ -1,6 +1,7 @@
 #include "skute/obs/trace.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 
@@ -90,10 +91,15 @@ void Tracer::WriteChromeTrace(std::ostream* out) const {
     }
   }
   for (const TraceEvent& e : events) {
+    // Fixed-point µs to the nanosecond: the stream's default 6
+    // significant digits would round every timestamp past 1 s and
+    // un-nest child spans from their parents.
+    char times[64];
+    std::snprintf(times, sizeof(times), "\"ts\":%.3f,\"dur\":%.3f",
+                  UsBetween(origin_, e.start), UsBetween(e.start, e.end));
     *out << (first ? "\n" : ",\n") << "{\"ph\":\"X\",\"pid\":0,\"tid\":"
          << e.tid << ",\"cat\":\"" << e.category << "\",\"name\":\""
-         << e.name << "\",\"ts\":" << UsBetween(origin_, e.start)
-         << ",\"dur\":" << UsBetween(e.start, e.end);
+         << e.name << "\"," << times;
     if (e.has_arg) *out << ",\"args\":{\"i\":" << e.arg << "}";
     *out << "}";
     first = false;

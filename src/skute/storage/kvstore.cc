@@ -46,13 +46,6 @@ std::vector<std::pair<std::string, std::string>> KvStore::Scan(
   return out;
 }
 
-void KvStore::CopyFrom(const KvStore& src) {
-  for (auto it = src.table_.Begin(); it.Valid(); it.Next()) {
-    // Put maintains the byte accounting for overwrites.
-    (void)Put(it.key(), it.value());
-  }
-}
-
 void KvStore::Clear() {
   table_.Clear();
   bytes_ = 0;

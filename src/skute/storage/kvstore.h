@@ -44,9 +44,6 @@ class KvStore {
   /// Sum of key+value sizes — the footprint used for storage accounting.
   uint64_t ApproximateBytes() const { return bytes_; }
 
-  /// Copies every entry of `src` into this store (replication).
-  void CopyFrom(const KvStore& src);
-
   void Clear();
 
  private:

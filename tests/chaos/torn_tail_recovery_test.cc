@@ -12,7 +12,6 @@
 
 #include "skute/backend/durable_backend.h"
 #include "skute/chaos/torn.h"
-#include "skute/storage/durable.h"
 #include "skute/storage/wal.h"
 
 namespace skute {
@@ -100,7 +99,7 @@ TEST(TornTailRecoveryTest, DurableStoreRecoversIntactPrefix) {
   for (size_t i = 0; i < f.boundaries.size(); ++i) {
     const size_t cut = f.boundaries[i] + (i % 2 == 0 ? 0 : 2);
     if (cut > f.log.size()) continue;
-    DurableKvStore store;
+    DurableBackend store;
     const auto applied = store.Recover(chaos::TornTail(f.log, cut));
     ASSERT_TRUE(applied.ok());
     EXPECT_EQ(*applied, i + 1) << "cut at boundary " << i;

@@ -8,6 +8,9 @@
 //     between epochs, so identical client byte streams yield identical
 //     masked CSVs and identical net/engine counters at threads=1 and
 //     threads=N.
+//
+// Wire GETs also debit the same serve capacity as synthetic queries:
+// a live-traffic run serves more load than the inert-server run.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -116,14 +119,27 @@ struct LiveRun {
   NetStats net;
   uint64_t placement_version = 0;
   uint64_t lost_partitions = 0;
+  /// Served queries summed over epochs and rings (ring_load_mean is
+  /// served queries per online server).
+  double served_load = 0.0;
 };
+
+double ServedLoad(const Simulation& sim) {
+  double sum = 0.0;
+  for (const EpochSnapshot& s : sim.metrics().series()) {
+    for (const double load : s.ring_load_mean) {
+      sum += load * static_cast<double>(s.online_servers);
+    }
+  }
+  return sum;
+}
 
 // One wire op per line: PUT/GET/DEL on fresh keys of ring 0, plus a
 // couple of NOT_FOUND misses. Every byte is written before the first
 // Step, so the whole script is served in the first epoch's serve window
 // in every run — the op→epoch assignment is identical regardless of the
-// engine's thread count.
-LiveRun RunWithLiveTraffic(int threads) {
+// engine's thread count. `traffic` = false runs the same server inert.
+LiveRun RunWithLiveTraffic(int threads, bool traffic = true) {
   LiveRun run;
   SimConfig config = SimConfig::Tiny();
   config.seed = 11;
@@ -137,6 +153,12 @@ LiveRun RunWithLiveTraffic(int threads) {
   NetService::Options options;  // ephemeral port
   NetService service(&sim.store(), options);
   EXPECT_TRUE(service.Start().ok());
+  if (!traffic) {
+    for (int e = 0; e < 12; ++e) sim.Step();
+    service.Shutdown();
+    run.served_load = ServedLoad(sim);
+    return run;
+  }
 
   int fd = ConnectBlocking(service.port());
   std::string script;
@@ -172,6 +194,7 @@ LiveRun RunWithLiveTraffic(int threads) {
   run.net = sim.store().net_lifetime();
   run.placement_version = sim.store().placement_version();
   run.lost_partitions = sim.store().lost_partitions();
+  run.served_load = ServedLoad(sim);
   return run;
 }
 
@@ -221,6 +244,13 @@ TEST(NetInterleaveTest, LiveTrafficKeepsThreadInvariance) {
     ASSERT_TRUE(static_cast<bool>(std::getline(cols, cell, ',')));
   }
   EXPECT_EQ(cell, "19");
+}
+
+TEST(NetInterleaveTest, WireGetsDebitTheServeCapacity) {
+  const LiveRun live = RunWithLiveTraffic(1);
+  const LiveRun inert = RunWithLiveTraffic(1, /*traffic=*/false);
+  EXPECT_EQ(inert.net.ops, 0u);
+  EXPECT_GT(live.served_load, inert.served_load);
 }
 
 }  // namespace

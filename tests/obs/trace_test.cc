@@ -150,6 +150,43 @@ TEST_F(TraceTest, ChromeTraceExportIsWellFormed) {
   EXPECT_EQ(brackets, 0);
 }
 
+/// The exported `ts` of the span named `name` (the number after
+/// `"ts":` on its line of the Chrome trace).
+double ExportedTs(const std::string& json, const std::string& name) {
+  const size_t at = json.find("\"name\":\"" + name + "\"");
+  EXPECT_NE(at, std::string::npos) << name;
+  const size_t ts = json.find("\"ts\":", at);
+  EXPECT_NE(ts, std::string::npos) << name;
+  return std::stod(json.substr(ts + 5));
+}
+
+TEST_F(TraceTest, ChromeTraceKeepsMicrosecondsPastOneSecond) {
+  Tracer& tracer = Tracer::Global();
+  tracer.Start();
+  const TimePoint t0 = Now();  // no earlier than the session origin
+  TraceEvent parent;
+  parent.name = "parent";
+  parent.category = "test";
+  parent.start = t0 + std::chrono::milliseconds(1500);
+  parent.end = parent.start + std::chrono::milliseconds(1);
+  TraceEvent child;
+  child.name = "child";
+  child.category = "test";
+  child.start = parent.start + std::chrono::microseconds(1);
+  child.end = child.start + std::chrono::microseconds(10);
+  tracer.Record(parent);
+  tracer.Record(child);
+  tracer.Stop();
+  std::ostringstream out;
+  tracer.WriteChromeTrace(&out);
+  const std::string json = out.str();
+  // 1.5 s into the session, the child still starts 1.000 µs after its
+  // parent; 6 significant digits would print both as 1.5e+06.
+  EXPECT_NEAR(ExportedTs(json, "child") - ExportedTs(json, "parent"), 1.0,
+              1e-6);
+  EXPECT_EQ(json.find("e+"), std::string::npos);
+}
+
 TEST_F(TraceTest, FileExportWritesAndRejectsBadPaths) {
   Tracer& tracer = Tracer::Global();
   tracer.Start();

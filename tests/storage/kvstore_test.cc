@@ -70,17 +70,6 @@ TEST(KvStoreTest, EmptyValueAllowed) {
   EXPECT_EQ(store.ApproximateBytes(), 1u);
 }
 
-TEST(KvStoreTest, CopyFromReplicatesAll) {
-  KvStore a, b;
-  ASSERT_TRUE(a.Put("x", "1").ok());
-  ASSERT_TRUE(a.Put("y", "2").ok());
-  ASSERT_TRUE(b.Put("y", "old").ok());
-  b.CopyFrom(a);
-  EXPECT_EQ(b.Count(), 2u);
-  EXPECT_EQ(*b.Get("y"), "2");  // overwritten by source
-  EXPECT_EQ(b.ApproximateBytes(), a.ApproximateBytes());
-}
-
 TEST(KvStoreTest, ClearResets) {
   KvStore store;
   ASSERT_TRUE(store.Put("k", "v").ok());

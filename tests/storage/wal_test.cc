@@ -5,8 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "skute/backend/durable_backend.h"
 #include "skute/common/crc32.h"
-#include "skute/storage/durable.h"
 
 namespace skute {
 namespace {
@@ -126,8 +126,8 @@ TEST(WalTest, ClearResetsSequence) {
   EXPECT_EQ(writer.Append(WalOp::kPut, "k", "v"), 1u);
 }
 
-TEST(DurableKvStoreTest, MutationsAreLogged) {
-  DurableKvStore store;
+TEST(DurableBackendTest, MutationsAreLogged) {
+  DurableBackend store;
   ASSERT_TRUE(store.Put("a", "1").ok());
   ASSERT_TRUE(store.Put("b", "2").ok());
   ASSERT_TRUE(store.Delete("a").ok());
@@ -137,14 +137,14 @@ TEST(DurableKvStoreTest, MutationsAreLogged) {
   EXPECT_TRUE(store.Get("a").status().IsNotFound());
 }
 
-TEST(DurableKvStoreTest, RecoverRebuildsExactState) {
-  DurableKvStore original;
+TEST(DurableBackendTest, RecoverRebuildsExactState) {
+  DurableBackend original;
   ASSERT_TRUE(original.Put("x", "1").ok());
   ASSERT_TRUE(original.Put("y", "2").ok());
   ASSERT_TRUE(original.Put("x", "3").ok());  // overwrite
   ASSERT_TRUE(original.Delete("y").ok());
 
-  DurableKvStore rebuilt;
+  DurableBackend rebuilt;
   auto applied = rebuilt.Recover(original.log());
   ASSERT_TRUE(applied.ok());
   EXPECT_EQ(*applied, 4u);
@@ -153,12 +153,12 @@ TEST(DurableKvStoreTest, RecoverRebuildsExactState) {
   EXPECT_EQ(rebuilt.Count(), original.Count());
 }
 
-TEST(DurableKvStoreTest, RecoverToleratesCorruptTail) {
-  DurableKvStore original;
+TEST(DurableBackendTest, RecoverToleratesCorruptTail) {
+  DurableBackend original;
   ASSERT_TRUE(original.Put("a", "1").ok());
   ASSERT_TRUE(original.Put("b", "2").ok());
   std::string torn(original.log().substr(0, original.log().size() - 2));
-  DurableKvStore rebuilt;
+  DurableBackend rebuilt;
   auto applied = rebuilt.Recover(torn);
   ASSERT_TRUE(applied.ok());
   EXPECT_EQ(*applied, 1u);
@@ -166,21 +166,22 @@ TEST(DurableKvStoreTest, RecoverToleratesCorruptTail) {
   EXPECT_TRUE(rebuilt.Get("b").status().IsNotFound());
 }
 
-TEST(DurableKvStoreTest, DeleteOfMissingKeyIsLoggedButOk) {
-  DurableKvStore store;
-  EXPECT_TRUE(store.Delete("ghost").ok());
+TEST(DurableBackendTest, DeleteOfMissingKeyIsNotFoundAndUnlogged) {
+  DurableBackend store;
+  ASSERT_TRUE(store.Put("k", "v").ok());
+  EXPECT_TRUE(store.Delete("ghost").IsNotFound());
   EXPECT_EQ(store.last_sequence(), 1u);
 }
 
-TEST(DurableKvStoreTest, CheckpointDropsLogKeepsData) {
-  DurableKvStore store;
+TEST(DurableBackendTest, CheckpointDropsLogKeepsData) {
+  DurableBackend store;
   ASSERT_TRUE(store.Put("k", "v").ok());
   store.Checkpoint();
   EXPECT_TRUE(store.log().empty());
   EXPECT_EQ(*store.Get("k"), "v");
   // Post-checkpoint mutations land in a fresh log.
   ASSERT_TRUE(store.Put("k2", "v2").ok());
-  DurableKvStore rebuilt;
+  DurableBackend rebuilt;
   ASSERT_TRUE(rebuilt.Recover(store.log()).ok());
   EXPECT_TRUE(rebuilt.Get("k").status().IsNotFound());  // pre-checkpoint
   EXPECT_EQ(*rebuilt.Get("k2"), "v2");
