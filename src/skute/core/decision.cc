@@ -48,12 +48,6 @@ bool CheckRingPolicy(const Partition& partition,
 
 }  // namespace
 
-double DecisionEngine::AvailabilityWith(const Cluster& cluster,
-                                        const std::vector<ServerId>& servers,
-                                        ServerId extra) const {
-  return AvailabilityModel::OfServerIdsWith(cluster, servers, extra);
-}
-
 Result<CandidateChoice> DecisionEngine::SelectTarget(
     const Cluster& cluster, const std::vector<ServerId>& replica_servers,
     uint64_t bytes_needed, const ClientMix* mix,
@@ -123,7 +117,7 @@ void DecisionEngine::ProposeRepair(const Cluster& cluster,
     a.reason = "repair: availability below threshold";
     actions->push_back(a);
     if (surcharge != nullptr) {
-      (*surcharge)[choice->server] += params_.pending_placement_penalty;
+      surcharge->Add(choice->server, params_.pending_placement_penalty);
     }
     live.push_back(choice->server);
     avail = AvailabilityModel::OfServerIds(cluster, live);
@@ -170,25 +164,29 @@ Action DecisionEngine::DecideForVNode(const Cluster& cluster,
   }
 
   // Otherwise look for a strictly cheaper server that preserves
-  // availability (the migration leg of Section II-C).
-  auto choice = SelectTarget(cluster, ReplicaServerSet(partition,
-                                                       vnode.server),
-                             partition.bytes(), policy.mix,
-                             /*exclude=*/{vnode.server}, surcharge,
-                             /*tie_break_salt=*/partition.id(), pctx);
-  if (!choice.ok()) return none;
+  // availability (the migration leg of Section II-C). No server's board
+  // rent is below min_rent (servers offline at publication or added since
+  // are priced at infinity), so when even min_rent misses the savings
+  // gate, no target can pass it and the Eq. 3 scan is skipped.
+  const Board& board = cluster.board();
+  const double max_target_rent =
+      board.RentOf(vnode.server) *
+      (1.0 - params_.migration_savings_threshold);
+  if (board.min_rent() >= max_target_rent) return none;
 
-  const double my_rent = cluster.board().RentOf(vnode.server);
-  const double target_rent = cluster.board().RentOf(choice->server);
-  if (target_rent >=
-      my_rent * (1.0 - params_.migration_savings_threshold)) {
+  const std::vector<ServerId> remaining =
+      ReplicaServerSet(partition, vnode.server);
+  auto choice = SelectTarget(cluster, remaining, partition.bytes(),
+                             policy.mix, /*exclude=*/{vnode.server},
+                             surcharge, /*tie_break_salt=*/partition.id(),
+                             pctx);
+  if (!choice.ok()) return none;
+  if (board.RentOf(choice->server) >= max_target_rent) {
     return none;  // not enough savings to be worth the move
   }
 
-  std::vector<ServerId> remaining = ReplicaServerSet(partition,
-                                                     vnode.server);
-  const double avail_after =
-      AvailabilityWith(cluster, remaining, choice->server);
+  const double avail_after = AvailabilityModel::OfServerIdsWith(
+      cluster, remaining, choice->server);
   const double required = std::min(policy.min_availability, avail_now);
   if (avail_after < required) return none;
 
@@ -267,7 +265,7 @@ void DecisionEngine::ProposeEconomic(const Cluster& cluster,
 
   auto charge = [&](const Action& a) {
     if (surcharge != nullptr && a.target != kInvalidServer) {
-      (*surcharge)[a.target] += params_.pending_placement_penalty;
+      surcharge->Add(a.target, params_.pending_placement_penalty);
     }
   };
 

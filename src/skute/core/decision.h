@@ -192,11 +192,6 @@ class DecisionEngine {
                        std::vector<Action>* actions,
                        const ProposeContext* pctx) const;
 
-  /// Eq. 2 over an explicit id set plus one extra server.
-  double AvailabilityWith(const Cluster& cluster,
-                          const std::vector<ServerId>& servers,
-                          ServerId extra) const;
-
   /// Eq. 3 selection: through the pctx's CandidateContext when present
   /// (exact pruned shortlist), the full SelectTargetForSet scan
   /// otherwise.

@@ -33,10 +33,6 @@ struct VirtualNode {
   /// Eq. 5 history (window = the decision hysteresis f).
   BalanceTracker balance;
 
-  /// Last epoch's utility and rent (for metrics/debugging).
-  double last_utility = 0.0;
-  double last_rent = 0.0;
-
   VirtualNode(VNodeId id_in, PartitionId partition_in, RingId ring_in,
               ServerId server_in, Epoch created_in, int balance_window)
       : id(id_in),

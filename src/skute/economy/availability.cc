@@ -47,19 +47,6 @@ double AvailabilityModel::OfPartitionWithout(const Partition& partition,
   return OfServers(servers);
 }
 
-double AvailabilityModel::OfPartitionWith(const Partition& partition,
-                                          const Cluster& cluster,
-                                          const Server& extra) {
-  std::vector<const Server*> servers;
-  servers.reserve(partition.replica_count() + 1);
-  for (const ReplicaInfo& r : partition.replicas()) {
-    const Server* s = cluster.server(r.server);
-    if (s != nullptr && s->online()) servers.push_back(s);
-  }
-  servers.push_back(&extra);
-  return OfServers(servers);
-}
-
 double AvailabilityModel::OfServerIds(const Cluster& cluster,
                                       const std::vector<ServerId>& ids) {
   std::vector<const Server*> servers;

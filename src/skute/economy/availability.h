@@ -35,10 +35,6 @@ class AvailabilityModel {
   static double OfPartitionWithout(const Partition& partition,
                                    const Cluster& cluster, ServerId without);
 
-  /// Eq. 2 for the replica set with a replica added on `extra`.
-  static double OfPartitionWith(const Partition& partition,
-                                const Cluster& cluster, const Server& extra);
-
   /// Eq. 2 over an explicit server-id set (offline/unknown ids skipped).
   static double OfServerIds(const Cluster& cluster,
                             const std::vector<ServerId>& ids);

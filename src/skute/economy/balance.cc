@@ -13,29 +13,12 @@ double QueryUtility(uint64_t queries, double proximity,
 }
 
 void BalanceTracker::Record(double balance) {
-  history_.push_back(balance);
-  lifetime_ += balance;
-  while (history_.size() > static_cast<size_t>(window_)) {
-    history_.pop_front();
-  }
+  const auto extend = [this](int run) {
+    return run < window_ ? run + 1 : run;
+  };
+  count_ = extend(count_);
+  negative_run_ = balance >= 0.0 ? 0 : extend(negative_run_);
+  positive_run_ = balance <= 0.0 ? 0 : extend(positive_run_);
 }
-
-bool BalanceTracker::NegativeStreak() const {
-  if (history_.size() < static_cast<size_t>(window_)) return false;
-  for (double b : history_) {
-    if (b >= 0.0) return false;
-  }
-  return true;
-}
-
-bool BalanceTracker::PositiveStreak() const {
-  if (history_.size() < static_cast<size_t>(window_)) return false;
-  for (double b : history_) {
-    if (b <= 0.0) return false;
-  }
-  return true;
-}
-
-void BalanceTracker::Reset() { history_.clear(); }
 
 }  // namespace skute

@@ -7,10 +7,16 @@
 
 namespace skute {
 
-double SurchargeOf(const RentSurcharge* surcharge, ServerId id) {
-  if (surcharge == nullptr) return 0.0;
-  const auto it = surcharge->find(id);
-  return it == surcharge->end() ? 0.0 : it->second;
+void RentSurcharge::Add(ServerId id, double amount) {
+  if (id >= by_server_.size()) by_server_.resize(id + 1, 0.0);
+  by_server_[id] += amount;
+  if (amount < 0.0) negative_.push_back(id);
+}
+
+double RentSurcharge::Floor() const {
+  double floor = 0.0;
+  for (ServerId id : negative_) floor = std::min(floor, by_server_[id]);
+  return floor;
 }
 
 bool CandidateAdmissible(const Server& server, uint64_t bytes_needed,
@@ -114,17 +120,6 @@ Result<CandidateChoice> SelectTargetForSet(
     return Status::NotFound("no feasible replica target");
   }
   return best;
-}
-
-Result<CandidateChoice> SelectReplicaTarget(
-    const Cluster& cluster, const Partition& partition,
-    const ClientMix* mix, const CandidateParams& params,
-    const std::vector<ServerId>& exclude, ServerId moving_from) {
-  return SelectTargetForSet(cluster,
-                            ReplicaServerSet(partition, moving_from),
-                            partition.bytes(), mix, params, exclude,
-                            /*surcharge=*/nullptr,
-                            /*tie_break_salt=*/partition.id());
 }
 
 }  // namespace skute

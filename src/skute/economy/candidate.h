@@ -2,7 +2,6 @@
 #define SKUTE_ECONOMY_CANDIDATE_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "skute/cluster/cluster.h"
@@ -29,13 +28,35 @@ struct CandidateParams {
   double max_target_storage_utilization = 0.95;
 };
 
-/// Per-epoch surcharge on candidate rents, keyed by server. The decision
-/// passes use it to account for placements they have already proposed in
-/// the same epoch before the board reprices: without it, every agent sees
-/// identical stale prices and piles onto the one cheapest server (the
-/// thundering-herd the paper's serialized server-side admission would
-/// absorb).
-using RentSurcharge = std::unordered_map<ServerId, double>;
+/// \brief Per-epoch surcharge on candidate rents, indexed by server. The
+/// decision passes use it to account for placements they have already
+/// proposed in the same epoch before the board reprices: without it, every
+/// agent sees identical stale prices and piles onto the one cheapest
+/// server (the thundering-herd the paper's serialized server-side admission
+/// would absorb).
+///
+/// Each decision shard owns one ledger. It is dense so that the Eq. 3 scan
+/// reads a candidate's surcharge with one load.
+class RentSurcharge {
+ public:
+  /// Adds `amount` to `id`'s surcharge.
+  void Add(ServerId id, double amount);
+
+  /// Surcharge on `id`'s rent; 0 for a server never charged.
+  double Of(ServerId id) const {
+    return id < by_server_.size() ? by_server_[id] : 0.0;
+  }
+
+  /// min(0, smallest surcharge): how far the ledger can lift a score above
+  /// its rent-only value.
+  double Floor() const;
+
+ private:
+  std::vector<double> by_server_;  // grown on demand
+  /// Servers that ever took a negative charge; every other entry is >= 0
+  /// or NaN and cannot lower the floor.
+  std::vector<ServerId> negative_;
+};
 
 /// Outcome of the Eq. 3 scan: the winning server and its score.
 struct CandidateChoice {
@@ -43,8 +64,10 @@ struct CandidateChoice {
   double score = 0.0;
 };
 
-/// Surcharge on `id`'s rent this epoch; 0 when absent or no overlay.
-double SurchargeOf(const RentSurcharge* surcharge, ServerId id);
+/// Surcharge on `id`'s rent this epoch; 0 when absent or no ledger.
+inline double SurchargeOf(const RentSurcharge* surcharge, ServerId id) {
+  return surcharge == nullptr ? 0.0 : surcharge->Of(id);
+}
 
 /// Admission check of the Eq. 3 scan: online, enough free storage, and
 /// the post-placement utilization stays under the pressure cap.
@@ -86,14 +109,6 @@ Result<CandidateChoice> SelectTargetForSet(
     const std::vector<ServerId>& exclude = {},
     const RentSurcharge* surcharge = nullptr,
     uint64_t tie_break_salt = 0);
-
-/// Convenience wrapper: replica set taken from `partition`, optionally
-/// pretending the replica on `moving_from` has already left (migration).
-Result<CandidateChoice> SelectReplicaTarget(
-    const Cluster& cluster, const Partition& partition,
-    const ClientMix* mix, const CandidateParams& params,
-    const std::vector<ServerId>& exclude = {},
-    ServerId moving_from = kInvalidServer);
 
 /// The replica servers of a partition as a plain id vector, minus
 /// `moving_from` when given.

@@ -156,13 +156,9 @@ Result<CandidateChoice> CandidateContext::Select(
 
   // Negative surcharges (none today — penalties are positive) would
   // raise scores above the rent-based keys; fold the most negative one
-  // into the bound so the overlay stays exact.
-  double surcharge_floor = 0.0;
-  if (surcharge != nullptr) {
-    for (const auto& kv : *surcharge) {
-      surcharge_floor = std::min(surcharge_floor, kv.second);
-    }
-  }
+  // into the bound so the ledger stays exact.
+  const double surcharge_floor =
+      surcharge == nullptr ? 0.0 : surcharge->Floor();
 
   CandidateChoice best;
   bool found = false;

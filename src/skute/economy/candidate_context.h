@@ -54,7 +54,7 @@ using IndexedRunner =
 /// point rounding can never prune the true winner — the cost is scanning
 /// a handful of extra frontier candidates.
 ///
-/// The sparse per-shard RentSurcharge overlay and the admissibility
+/// The dense per-shard RentSurcharge ledger and the admissibility
 /// check against `bytes_needed` are evaluated exactly per call (rents
 /// and storage are read live; both are constant during the propose
 /// stage). Anything the snapshot cannot prove exact — an unknown mix, a

@@ -124,8 +124,6 @@ void RecordBalancesStage::Run(EpochContext& ctx) {
             utility = std::max(utility, floor);
           }
           const double rent = board.RentOf(r.server);
-          v->last_utility = utility;
-          v->last_rent = rent;
           v->balance.Record(utility - rent);
           if (p->ring() < rings) {
             spend[shard][p->ring()] += rent;

@@ -134,9 +134,17 @@ TEST_F(DecisionCacheTest, SelectMatchesFullScanAcrossCases) {
   const std::vector<std::vector<ServerId>> excludes = {
       {}, {At(1, 1, 1, 1)}, {At(0, 1, 0, 0), At(1, 0, 1, 0)}};
   RentSurcharge crowded;
-  crowded[At(1, 0, 0, 0)] = 0.5;
-  crowded[At(0, 1, 1, 1)] = 0.25;
-  const std::vector<const RentSurcharge*> surcharges = {nullptr, &crowded};
+  crowded.Add(At(1, 0, 0, 0), 0.5);
+  crowded.Add(At(0, 1, 1, 1), 0.25);
+  // The nearly full server's high rent puts it past where the scan stops;
+  // a negative entry lifts its score above that rent-only bound, so the
+  // scan must fold the ledger's floor into its stopping rule. The zero
+  // entry must leave the floor where the negative one put it.
+  RentSurcharge discounted;
+  discounted.Add(At(1, 0, 1, 1), -40.0);
+  discounted.Add(At(1, 1, 0, 1), 0.0);
+  const std::vector<const RentSurcharge*> surcharges = {nullptr, &crowded,
+                                                        &discounted};
   // The last size is admissible nowhere: both paths must return NotFound.
   const std::vector<uint64_t> sizes = {0, 64 * kMB, 4 * kGiB, 64 * kGiB};
   const std::vector<const ClientMix*> mixes = {nullptr, &mix};

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "skute/common/random.h"
 #include "skute/core/store.h"
 #include "skute/economy/availability.h"
+#include "skute/economy/candidate_context.h"
 #include "skute/topology/topology.h"
 
 namespace skute {
@@ -170,6 +172,134 @@ TEST_F(DecisionTest, NegativeStreakMigratesWhenSuicideWouldViolateSla) {
   const double avail_after = AvailabilityModel::OfServerIdsWith(
       cluster_, {a}, actions[0].target);
   EXPECT_GE(avail_after, policies_[0].min_availability);
+}
+
+TEST_F(DecisionTest, MinRentExitSkipsTheScanWhenNoTargetIsCheapEnough) {
+  Partition* p = catalog_.partition(0);
+  // Two replicas exactly meeting th, so the negative-streak vnode cannot
+  // suicide and falls through to the migration leg.
+  const ServerId a = At(0, 0, 0, 0);
+  const ServerId b = At(1, 0, 0, 0);
+  AddReplica(p, a);
+  VirtualNode* v = AddReplica(p, b);
+  for (int i = 0; i < params_.balance_window; ++i) {
+    v->balance.Record(-0.5);
+  }
+  // b is dearer than the cheapest server, but by less than the savings
+  // threshold: no target can pass the gate.
+  ASSERT_TRUE(cluster_.server(b)->ReserveStorage(64 * kMiB).ok());
+  cluster_.BeginEpoch();
+  const Board& board = cluster_.board();
+  ASSERT_GT(board.RentOf(b), board.min_rent());
+  ASSERT_GE(board.min_rent(),
+            board.RentOf(b) * (1.0 - params_.migration_savings_threshold));
+
+  DecisionEngine engine(params_);
+  CandidateContext candidates;
+  candidates.Build(cluster_, params_.candidate, {nullptr});
+  ProposeContext pctx;
+  pctx.candidates = &candidates;
+  EXPECT_TRUE(engine
+                  .EconomicPass(cluster_, catalog_, vnodes_, policies_, {},
+                                nullptr, &pctx)
+                  .empty());
+  EXPECT_EQ(candidates.counters().select_calls.load(), 0u);
+
+  // Past the threshold the vnode scans once and migrates.
+  Server* sb = cluster_.server(b);
+  sb->ServeQueries(sb->resources().query_capacity_per_epoch);
+  cluster_.BeginEpoch();
+  candidates.Build(cluster_, params_.candidate, {nullptr});
+  const auto actions = engine.EconomicPass(cluster_, catalog_, vnodes_,
+                                           policies_, {}, nullptr, &pctx);
+  ASSERT_EQ(actions.size(), 1u);
+  EXPECT_EQ(actions[0].type, ActionType::kMigrate);
+  EXPECT_EQ(candidates.counters().select_calls.load(), 1u);
+}
+
+// The exit is exact: on random rents, the engine's migration leg matches
+// a reference decision from the full Eq. 3 scan, and whenever the exit
+// skips the scan, the scan's winner would have failed the savings gate.
+TEST_F(DecisionTest, MinRentExitOnlyFiresWhenTheWinnerFailsTheGate) {
+  const double keep = 1.0 - params_.migration_savings_threshold;
+  DecisionEngine engine(params_);
+  Rng rng(27);
+  size_t fired = 0;
+  size_t migrated = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    // Storage fills of up to a few percent spread rents by up to ~20%, so
+    // the gate both holds and fails.
+    const double max_fill = rng.Uniform(0.0, 0.05);
+    std::vector<uint64_t> reserved(cluster_.size());
+    for (ServerId id = 0; id < cluster_.size(); ++id) {
+      Server* s = cluster_.server(id);
+      reserved[id] = static_cast<uint64_t>(
+          rng.Uniform(0.0, max_fill) *
+          static_cast<double>(s->resources().storage_capacity));
+      ASSERT_TRUE(s->ReserveStorage(reserved[id]).ok());
+    }
+    cluster_.BeginEpoch();
+    const Board& board = cluster_.board();
+
+    // One partition at exactly th: its negative-streak vnode on `self`
+    // cannot suicide, so it takes the migration leg.
+    RingCatalog catalog;
+    VNodeRegistry vnodes(params_.balance_window);
+    ASSERT_TRUE(catalog.CreateRing(0, 1).ok());
+    Partition* p = catalog.partition(0);
+    const auto pick = [&](uint32_t continent) {
+      return At(continent, static_cast<uint32_t>(rng.UniformInt(0, 1)),
+                static_cast<uint32_t>(rng.UniformInt(0, 1)),
+                static_cast<uint32_t>(rng.UniformInt(0, 1)));
+    };
+    const ServerId other = pick(0);
+    const ServerId self = pick(1);
+    for (ServerId server : {other, self}) {
+      const VNodeId vid = catalog.AllocateVNodeId();
+      ASSERT_TRUE(p->AddReplica(server, vid, 0).ok());
+      VirtualNode* v = vnodes.Create(vid, p->id(), p->ring(), server, 0);
+      for (int i = 0; server == self && i < params_.balance_window; ++i) {
+        v->balance.Record(-0.5);
+      }
+    }
+    RentSurcharge ledger;
+    ledger.Add(pick(1), rng.Uniform(-0.2, 0.2));
+
+    // Reference: the full scan, then the savings and availability gates.
+    const auto winner = SelectTargetForSet(
+        cluster_, {other}, p->bytes(), nullptr, params_.candidate, {self},
+        &ledger, /*tie_break_salt=*/p->id());
+    ASSERT_TRUE(winner.ok());
+    const double max_target_rent = board.RentOf(self) * keep;
+    const bool expect_migrate =
+        board.RentOf(winner->server) < max_target_rent &&
+        AvailabilityModel::OfServerIdsWith(cluster_, {other},
+                                           winner->server) >=
+            policies_[0].min_availability;
+
+    CandidateContext candidates;
+    candidates.Build(cluster_, params_.candidate, {nullptr});
+    ProposeContext pctx;
+    pctx.candidates = &candidates;
+    const auto actions = engine.EconomicPass(cluster_, catalog, vnodes,
+                                             policies_, {}, &ledger, &pctx);
+    ASSERT_EQ(actions.size(), expect_migrate ? 1u : 0u) << "trial " << trial;
+    if (expect_migrate) {
+      EXPECT_EQ(actions[0].type, ActionType::kMigrate);
+      EXPECT_EQ(actions[0].target, winner->server);
+      ++migrated;
+    }
+    if (candidates.counters().select_calls.load() == 0) {
+      ++fired;
+      EXPECT_GE(board.RentOf(winner->server), max_target_rent)
+          << "trial " << trial;
+    }
+    for (ServerId id = 0; id < cluster_.size(); ++id) {
+      ASSERT_TRUE(cluster_.server(id)->ReleaseStorage(reserved[id]).ok());
+    }
+  }
+  EXPECT_GT(fired, 20u);
+  EXPECT_GT(migrated, 20u);
 }
 
 TEST_F(DecisionTest, NoActionWithoutStreak) {

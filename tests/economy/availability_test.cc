@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "skute/economy/candidate.h"
 #include "skute/topology/topology.h"
 
 namespace skute {
@@ -105,13 +106,13 @@ TEST_F(AvailabilityTest, OfPartitionWithoutExcludesOne) {
                    63.0);
 }
 
-TEST_F(AvailabilityTest, OfPartitionWithAddsCandidate) {
+TEST_F(AvailabilityTest, OfServerIdsWithAddsCandidate) {
   Partition p(0, 0, KeyRange{0, 0}, 1.0);
   const ServerId a = At(0, 0, 0, 0);
   (void)p.AddReplica(a, 1, 0);
-  const Server* candidate = cluster_.server(At(1, 0, 0, 0));
-  EXPECT_DOUBLE_EQ(
-      AvailabilityModel::OfPartitionWith(p, cluster_, *candidate), 63.0);
+  EXPECT_DOUBLE_EQ(AvailabilityModel::OfServerIdsWith(
+                       cluster_, ReplicaServerSet(p), At(1, 0, 0, 0)),
+                   63.0);
 }
 
 TEST_F(AvailabilityTest, OfServerIdsVariants) {

@@ -1,6 +1,13 @@
 #include "skute/economy/balance.h"
 
+#include <algorithm>
+#include <deque>
+#include <limits>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "skute/common/random.h"
 
 namespace skute {
 namespace {
@@ -64,10 +71,10 @@ TEST(BalanceTrackerTest, WindowSlides) {
   t.Record(-1.0);
   t.Record(-2.0);
   EXPECT_TRUE(t.NegativeStreak());  // the old +1 slid out
-  EXPECT_DOUBLE_EQ(t.last(), -2.0);
+  EXPECT_EQ(t.count(), 2u);
 }
 
-TEST(BalanceTrackerTest, ResetClearsHistoryNotLifetime) {
+TEST(BalanceTrackerTest, ResetClearsHistory) {
   BalanceTracker t(2);
   t.Record(-1.0);
   t.Record(-1.0);
@@ -75,7 +82,8 @@ TEST(BalanceTrackerTest, ResetClearsHistoryNotLifetime) {
   t.Reset();
   EXPECT_FALSE(t.NegativeStreak());
   EXPECT_EQ(t.count(), 0u);
-  EXPECT_DOUBLE_EQ(t.lifetime_net(), -2.0);  // lifetime survives resets
+  t.Record(-1.0);
+  EXPECT_FALSE(t.NegativeStreak());  // a full window again after reset
 }
 
 TEST(BalanceTrackerTest, WindowOfOneReactsImmediately) {
@@ -93,9 +101,88 @@ TEST(BalanceTrackerTest, DegenerateWindowClampedToOne) {
   EXPECT_TRUE(t.PositiveStreak());
 }
 
-TEST(BalanceTrackerTest, LastOnEmptyIsZero) {
-  BalanceTracker t(3);
-  EXPECT_DOUBLE_EQ(t.last(), 0.0);
+// The window the tracker replaced, kept here as the reference: the last
+// `window` balances, a streak needing a full window of values that are
+// not >= 0 (negative) or not <= 0 (positive).
+class ReferenceWindow {
+ public:
+  explicit ReferenceWindow(int window) : window_(window) {}
+
+  void Record(double balance) {
+    history_.push_back(balance);
+    if (history_.size() > static_cast<size_t>(window_)) {
+      history_.pop_front();
+    }
+  }
+  void Reset() { history_.clear(); }
+  bool NegativeStreak() const {
+    return Full() && std::none_of(history_.begin(), history_.end(),
+                                  [](double b) { return b >= 0.0; });
+  }
+  bool PositiveStreak() const {
+    return Full() && std::none_of(history_.begin(), history_.end(),
+                                  [](double b) { return b <= 0.0; });
+  }
+  size_t count() const { return history_.size(); }
+
+ private:
+  bool Full() const {
+    return history_.size() == static_cast<size_t>(window_);
+  }
+
+  int window_;
+  std::deque<double> history_;
+};
+
+TEST(BalanceTrackerTest, MatchesReferenceWindowOnRandomStreams) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> values = {-2.5, -1e-300, 1e-300, 3.0, 0.0,
+                                      -0.0, kNaN,    kInf,   -kInf};
+  Rng rng(20100301);
+  size_t streaks = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const int window = static_cast<int>(rng.UniformInt(1, 6));
+    BalanceTracker tracker(window);
+    ReferenceWindow reference(window);
+    // Draw from a few values per trial, so runs long enough to be
+    // streaks are common.
+    std::vector<double> pool;
+    for (uint64_t i = rng.UniformInt(1, 3); i > 0; --i) {
+      pool.push_back(values[rng.UniformInt(0, values.size() - 1)]);
+    }
+    for (int step = 0; step < 200; ++step) {
+      if (rng.Bernoulli(0.03)) {
+        tracker.Reset();
+        reference.Reset();
+      } else {
+        const double b = pool[rng.UniformInt(0, pool.size() - 1)];
+        tracker.Record(b);
+        reference.Record(b);
+      }
+      ASSERT_EQ(tracker.NegativeStreak(), reference.NegativeStreak())
+          << "trial " << trial << " step " << step;
+      ASSERT_EQ(tracker.PositiveStreak(), reference.PositiveStreak())
+          << "trial " << trial << " step " << step;
+      ASSERT_EQ(tracker.count(), reference.count())
+          << "trial " << trial << " step " << step;
+      streaks += tracker.NegativeStreak() + tracker.PositiveStreak();
+    }
+  }
+  EXPECT_GT(streaks, 1000u);  // the streams really reached streaks
+}
+
+TEST(BalanceTrackerTest, NaNCountsAsNegativeAndPositive) {
+  BalanceTracker t(2);
+  t.Record(std::numeric_limits<double>::quiet_NaN());
+  t.Record(-1.0);
+  EXPECT_TRUE(t.NegativeStreak());
+  t.Record(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_TRUE(t.NegativeStreak());
+  EXPECT_FALSE(t.PositiveStreak());
+  t.Record(1.0);
+  EXPECT_FALSE(t.NegativeStreak());
+  EXPECT_TRUE(t.PositiveStreak());
 }
 
 }  // namespace

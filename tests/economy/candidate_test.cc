@@ -44,6 +44,15 @@ class CandidateTest : public ::testing::Test {
     return params;
   }
 
+  // Eq. 3 target for one more replica of `p`, salted by the partition id
+  // as the decision passes salt it.
+  Result<CandidateChoice> SelectFor(
+      const Partition& p, const CandidateParams& params,
+      const std::vector<ServerId>& exclude = {}) {
+    return SelectTargetForSet(cluster_, ReplicaServerSet(p), p.bytes(),
+                              nullptr, params, exclude, nullptr, p.id());
+  }
+
   Cluster cluster_{LivePricing()};
   CandidateParams params_;
 };
@@ -62,7 +71,7 @@ TEST_F(CandidateTest, ScoreIsDiversityMinusRent) {
 TEST_F(CandidateTest, PrefersOtherContinentForSecondReplica) {
   Partition p(0, 0, KeyRange{0, 0}, 1.0);
   (void)p.AddReplica(At(0, 0, 0, 0), 1, 0);
-  auto choice = SelectReplicaTarget(cluster_, p, nullptr, params_);
+  auto choice = SelectFor(p, params_);
   ASSERT_TRUE(choice.ok());
   EXPECT_EQ(cluster_.server(choice->server)->location().continent(), 1u);
 }
@@ -72,7 +81,7 @@ TEST_F(CandidateTest, NeverPicksExistingReplicaServer) {
   (void)p.AddReplica(At(0, 0, 0, 0), 1, 0);
   (void)p.AddReplica(At(1, 0, 0, 0), 2, 0);
   for (int i = 0; i < 4; ++i) {
-    auto choice = SelectReplicaTarget(cluster_, p, nullptr, params_);
+    auto choice = SelectFor(p, params_);
     ASSERT_TRUE(choice.ok());
     EXPECT_FALSE(p.HasReplicaOn(choice->server));
     (void)p.AddReplica(choice->server, 10 + i, 0);
@@ -90,8 +99,7 @@ TEST_F(CandidateTest, RespectsExcludeList) {
       exclude.push_back(id);
     }
   }
-  auto choice =
-      SelectReplicaTarget(cluster_, p, nullptr, params_, exclude);
+  auto choice = SelectFor(p, params_, exclude);
   ASSERT_TRUE(choice.ok());
   EXPECT_EQ(cluster_.server(choice->server)->location().continent(), 0u);
   EXPECT_EQ(cluster_.server(choice->server)->location().country(), 1u);
@@ -107,7 +115,7 @@ TEST_F(CandidateTest, SkipsOfflineServers) {
     }
   }
   cluster_.BeginEpoch();
-  auto choice = SelectReplicaTarget(cluster_, p, nullptr, params_);
+  auto choice = SelectFor(p, params_);
   ASSERT_TRUE(choice.ok());
   EXPECT_EQ(cluster_.server(choice->server)->location().continent(), 0u);
 }
@@ -124,7 +132,7 @@ TEST_F(CandidateTest, SkipsServersWithoutStorage) {
           s->ReserveStorage(s->resources().storage_capacity - 100).ok());
     }
   }
-  auto choice = SelectReplicaTarget(cluster_, p, nullptr, params_);
+  auto choice = SelectFor(p, params_);
   ASSERT_TRUE(choice.ok());
   EXPECT_EQ(cluster_.server(choice->server)->location().continent(), 0u);
 }
@@ -137,9 +145,7 @@ TEST_F(CandidateTest, NotFoundWhenNothingFeasible) {
     ASSERT_TRUE(
         s->ReserveStorage(s->resources().storage_capacity).ok());
   }
-  EXPECT_TRUE(SelectReplicaTarget(cluster_, p, nullptr, params_)
-                  .status()
-                  .IsNotFound());
+  EXPECT_TRUE(SelectFor(p, params_).status().IsNotFound());
 }
 
 TEST_F(CandidateTest, RentBreaksDiversityTies) {
@@ -170,7 +176,7 @@ TEST_F(CandidateTest, RentBreaksDiversityTies) {
       ASSERT_GE(cluster_.board().RentOf(id), min_rent);
     }
   }
-  auto choice = SelectReplicaTarget(cluster_, p, nullptr, params_);
+  auto choice = SelectFor(p, params_);
   ASSERT_TRUE(choice.ok());
   EXPECT_EQ(choice->server, cheap->id());
 }
@@ -207,7 +213,7 @@ TEST_F(CandidateTest, DiversityWeightScalesTradeoff) {
   (void)p.AddReplica(At(0, 0, 0, 0), 1, 0);
   CandidateParams tiny;
   tiny.diversity_weight = 1e-9;
-  auto choice = SelectReplicaTarget(cluster_, p, nullptr, tiny);
+  auto choice = SelectFor(p, tiny);
   ASSERT_TRUE(choice.ok());
   double min_rent = cluster_.board().RentOf(choice->server);
   for (ServerId id = 0; id < cluster_.size(); ++id) {
@@ -220,7 +226,7 @@ TEST_F(CandidateTest, EmptyReplicaSetPicksCheapest) {
   // Bootstrap case: no diversity term anywhere, so Eq. 3 reduces to
   // argmin rent.
   Partition p(0, 0, KeyRange{0, 0}, 1.0);
-  auto choice = SelectReplicaTarget(cluster_, p, nullptr, params_);
+  auto choice = SelectFor(p, params_);
   ASSERT_TRUE(choice.ok());
   const double rent = cluster_.board().RentOf(choice->server);
   EXPECT_DOUBLE_EQ(rent, cluster_.board().min_rent());
