@@ -91,7 +91,7 @@ std::vector<ServerId> SuccessorPolicy::PreferenceList(const Cluster& cluster,
 std::vector<Action> SuccessorPolicy::ProposeActions(
     const Cluster& cluster, const RingCatalog& catalog,
     const VNodeRegistry& vnodes, const std::vector<RingPolicy>& policies,
-    const PartitionStatsMap& stats) {
+    const PartitionStatsTable& stats) {
   (void)vnodes;
   (void)policies;
   (void)stats;

@@ -44,7 +44,7 @@ class SuccessorPolicy : public PlacementPolicy {
   std::vector<Action> ProposeActions(
       const Cluster& cluster, const RingCatalog& catalog,
       const VNodeRegistry& vnodes, const std::vector<RingPolicy>& policies,
-      const PartitionStatsMap& stats) override;
+      const PartitionStatsTable& stats) override;
 
   const char* name() const override { return "static-successor"; }
 

@@ -3,9 +3,7 @@
 #include <algorithm>
 
 #include "skute/common/logging.h"
-#include "skute/core/decision_cache.h"
 #include "skute/economy/availability.h"
-#include "skute/economy/candidate_context.h"
 #include "skute/topology/location.h"
 
 namespace skute {
@@ -48,6 +46,12 @@ bool CheckRingPolicy(const Partition& partition,
 
 }  // namespace
 
+void ProposeContext::FlushTally() const {
+  if (candidates != nullptr) candidates->AddTally(tally->select);
+  if (avail_cache != nullptr) avail_cache->AddTally(tally->cache);
+  *tally = DecisionTally();
+}
+
 Result<CandidateChoice> DecisionEngine::SelectTarget(
     const Cluster& cluster, const std::vector<ServerId>& replica_servers,
     uint64_t bytes_needed, const ClientMix* mix,
@@ -56,7 +60,8 @@ Result<CandidateChoice> DecisionEngine::SelectTarget(
   if (pctx != nullptr && pctx->candidates != nullptr &&
       pctx->candidates->ready()) {
     return pctx->candidates->Select(replica_servers, bytes_needed, mix,
-                                    exclude, surcharge, tie_break_salt);
+                                    exclude, surcharge, tie_break_salt,
+                                    &pctx->tally->select);
   }
   return SelectTargetForSet(cluster, replica_servers, bytes_needed, mix,
                             params_.candidate, exclude, surcharge,
@@ -88,7 +93,8 @@ void DecisionEngine::ProposeRepair(const Cluster& cluster,
   // the economic pass.
   double avail =
       pctx != nullptr && pctx->avail_cache != nullptr
-          ? pctx->avail_cache->AvailabilityOf(partition, cluster)
+          ? pctx->avail_cache->AvailabilityOf(partition, cluster,
+                                              &pctx->tally->cache)
           : AvailabilityModel::OfServerIds(cluster, live);
   if (avail >= policy.min_availability) return;
 
@@ -216,31 +222,43 @@ Action DecisionEngine::MaybeReplicate(const Cluster& cluster,
   }
   if (replicas >= cluster.online_count()) return none;
 
+  // Popularity must cover the new replica's rent plus the consistency
+  // cost of one more copy (Section II-C replication verification). The
+  // projected utility is this partition's epoch queries split across
+  // R+1 replicas, valued at the target's proximity g.
+  const double projected_queries =
+      static_cast<double>(stats.queries) /
+      static_cast<double>(replicas + 1);
+  const auto projected_utility = [&](double g) {
+    return params_.utility.value_per_query * projected_queries *
+           (params_.utility.divide_by_proximity ? (g > 0 ? 1.0 / g : 1.0)
+                                                : g);
+  };
+  const double consistency =
+      params_.consistency.Cost(replicas + 1, stats.write_bytes);
+  // Without a client mix g = 1 for every target, so the utility does not
+  // depend on the target. No server's board rent is below min_rent, so
+  // when even min_rent fails the gate the Eq. 3 winner would fail it too
+  // and the scan is skipped.
+  const Board& board = cluster.board();
+  if (policy.mix == nullptr &&
+      projected_utility(1.0) <= board.min_rent() + consistency) {
+    return none;
+  }
+
   auto choice = SelectTarget(cluster, ReplicaServerSet(partition),
                              partition.bytes(), policy.mix,
                              /*exclude=*/{}, surcharge,
                              /*tie_break_salt=*/partition.id(), pctx);
   if (!choice.ok()) return none;
-  const Server* target = cluster.server(choice->server);
-
-  // Popularity must cover the new replica's rent plus the consistency
-  // cost of one more copy (Section II-C replication verification). The
-  // projected utility is this partition's epoch queries split across
-  // R+1 replicas, valued at the target's proximity.
-  const double g = policy.mix == nullptr
-                       ? 1.0
-                       : NormalizedProximity(*policy.mix,
-                                             target->location());
-  const double projected_queries =
-      static_cast<double>(stats.queries) /
-      static_cast<double>(replicas + 1);
-  const double projected_utility =
-      params_.utility.value_per_query * projected_queries *
-      (params_.utility.divide_by_proximity ? (g > 0 ? 1.0 / g : 1.0) : g);
-  const double target_rent = cluster.board().RentOf(choice->server);
-  const double consistency =
-      params_.consistency.Cost(replicas + 1, stats.write_bytes);
-  if (projected_utility <= target_rent + consistency) return none;
+  const double g =
+      policy.mix == nullptr
+          ? 1.0
+          : NormalizedProximity(*policy.mix,
+                                cluster.server(choice->server)->location());
+  if (projected_utility(g) <= board.RentOf(choice->server) + consistency) {
+    return none;
+  }
 
   Action a;
   a.type = ActionType::kReplicate;
@@ -257,12 +275,10 @@ void DecisionEngine::ProposeEconomic(const Cluster& cluster,
                                      const Partition& partition,
                                      const VNodeRegistry& vnodes,
                                      const std::vector<RingPolicy>& policies,
-                                     const PartitionStatsMap& stats,
+                                     const PartitionStatsTable& stats,
                                      RentSurcharge* surcharge,
                                      std::vector<Action>* actions,
                                      const ProposeContext* pctx) const {
-  static const PartitionEpochStats kNoTraffic;
-
   auto charge = [&](const Action& a) {
     if (surcharge != nullptr && a.target != kInvalidServer) {
       surcharge->Add(a.target, params_.pending_placement_penalty);
@@ -273,8 +289,11 @@ void DecisionEngine::ProposeEconomic(const Cluster& cluster,
   const RingPolicy& policy = policies[partition.ring()];
   ProposalCache* cache =
       pctx != nullptr ? pctx->avail_cache : nullptr;
+  ProposalCache::Tally* cache_tally =
+      cache != nullptr ? &pctx->tally->cache : nullptr;
   const double avail = cache != nullptr
-                           ? cache->AvailabilityOf(partition, cluster)
+                           ? cache->AvailabilityOf(partition, cluster,
+                                                   cache_tally)
                            : AvailabilityModel::OfPartition(partition,
                                                             cluster);
   if (avail < policy.min_availability) {
@@ -309,10 +328,10 @@ void DecisionEngine::ProposeEconomic(const Cluster& cluster,
     }
   }
   if (!has_negative && !has_positive) {
-    if (cache != nullptr) cache->CountClean();
+    if (cache_tally != nullptr) ++cache_tally->clean;
     return;  // quiescent: last epoch's no-action outcome stands
   }
-  if (cache != nullptr) cache->CountDirty();
+  if (cache_tally != nullptr) ++cache_tally->dirty;
 
   // Cost-cutting first: the first vnode (replica order) with a negative
   // streak acts; one action per partition per epoch. DecideForVNode
@@ -334,11 +353,8 @@ void DecisionEngine::ProposeEconomic(const Cluster& cluster,
 
   // Growth second: replicate when some replica sustained profit.
   if (!has_positive) return;
-  const auto it = stats.find(partition.id());
-  const PartitionEpochStats& traffic =
-      it == stats.end() ? kNoTraffic : it->second;
-  Action a = MaybeReplicate(cluster, partition, policy, traffic, surcharge,
-                            pctx);
+  Action a = MaybeReplicate(cluster, partition, policy,
+                            stats.Get(partition.id()), surcharge, pctx);
   if (a.type != ActionType::kNone) {
     charge(a);
     actions->push_back(a);
@@ -348,7 +364,7 @@ void DecisionEngine::ProposeEconomic(const Cluster& cluster,
 std::vector<Action> DecisionEngine::EconomicPass(
     const Cluster& cluster, const RingCatalog& catalog,
     const VNodeRegistry& vnodes, const std::vector<RingPolicy>& policies,
-    const PartitionStatsMap& stats, RentSurcharge* surcharge,
+    const PartitionStatsTable& stats, RentSurcharge* surcharge,
     const ProposeContext* pctx) const {
   std::vector<Action> actions;
   catalog.ForEachPartition([&](const Partition* p) {
@@ -361,7 +377,7 @@ std::vector<Action> DecisionEngine::EconomicPass(
 std::vector<Action> DecisionEngine::ProposeAll(
     const Cluster& cluster, const RingCatalog& catalog,
     const VNodeRegistry& vnodes, const std::vector<RingPolicy>& policies,
-    const PartitionStatsMap& stats, const ProposeContext* pctx) const {
+    const PartitionStatsTable& stats, const ProposeContext* pctx) const {
   RentSurcharge surcharge;
   std::vector<Action> actions =
       RepairPass(cluster, catalog, policies, &surcharge, pctx);
@@ -375,7 +391,7 @@ std::vector<Action> DecisionEngine::ProposeForPartitions(
     const Cluster& cluster,
     const std::vector<const Partition*>& partitions,
     const VNodeRegistry& vnodes, const std::vector<RingPolicy>& policies,
-    const PartitionStatsMap& stats, const ProposeContext* pctx) const {
+    const PartitionStatsTable& stats, const ProposeContext* pctx) const {
   // Same pass order as ProposeAll — repair over the whole shard, then
   // economic — so a single-shard plan reproduces it action for action.
   RentSurcharge surcharge;

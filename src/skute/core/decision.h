@@ -1,20 +1,19 @@
 #ifndef SKUTE_CORE_DECISION_H_
 #define SKUTE_CORE_DECISION_H_
 
-#include <unordered_map>
+#include <algorithm>
 #include <vector>
 
 #include "skute/cluster/cluster.h"
+#include "skute/core/decision_cache.h"
 #include "skute/core/vnode.h"
 #include "skute/economy/balance.h"
 #include "skute/economy/candidate.h"
+#include "skute/economy/candidate_context.h"
 #include "skute/economy/pricing.h"
 #include "skute/ring/catalog.h"
 
 namespace skute {
-
-class CandidateContext;
-class ProposalCache;
 
 /// What a virtual-node agent decided to do at the end of an epoch
 /// (Section II-C: replicate, migrate, suicide, or nothing).
@@ -53,8 +52,32 @@ struct PartitionEpochStats {
   uint64_t queries = 0;      // across all replicas
   uint64_t write_bytes = 0;  // inserted/updated bytes (consistency cost)
 };
-using PartitionStatsMap =
-    std::unordered_map<PartitionId, PartitionEpochStats>;
+
+/// \brief The epoch's PartitionEpochStats, indexed by PartitionId.
+///
+/// Partition ids are dense and never reused, so a row per id is a load
+/// instead of a hash probe. Writes grow the table; a row past the end
+/// reads as no traffic. Clear() zero-fills in place, so the table is
+/// allocated once, not once per epoch.
+class PartitionStatsTable {
+ public:
+  PartitionEpochStats& operator[](PartitionId id) {
+    if (id >= rows_.size()) rows_.resize(id + 1);
+    return rows_[id];
+  }
+
+  const PartitionEpochStats& Get(PartitionId id) const {
+    static const PartitionEpochStats kNoTraffic;
+    return id < rows_.size() ? rows_[id] : kNoTraffic;
+  }
+
+  void Clear() {
+    std::fill(rows_.begin(), rows_.end(), PartitionEpochStats());
+  }
+
+ private:
+  std::vector<PartitionEpochStats> rows_;
+};
 
 /// Tunables of the Section II-C decision process.
 struct DecisionParams {
@@ -95,9 +118,15 @@ struct DecisionParams {
   bool use_proposal_cache = true;
 };
 
+/// Per-shard decision counters, carried by ProposeContext::tally.
+struct DecisionTally {
+  SelectTally select;
+  ProposalCache::Tally cache;
+};
+
 /// \brief Optional per-epoch acceleration state threaded through the
-/// decision passes. All members may be null; a null member (or a null
-/// context pointer, the default everywhere) selects the original
+/// decision passes. The accelerators may be null; a null member (or a
+/// null context pointer, the default everywhere) selects the original
 /// full-recompute path. EconomicPolicy assembles one per epoch in its
 /// BeginProposalEpoch prepare step.
 struct ProposeContext {
@@ -110,6 +139,15 @@ struct ProposeContext {
   /// indexed by PartitionId); entries without kStreakFlagsValid fall
   /// back to the inline vnode scan.
   const std::vector<uint8_t>* streak_flags = nullptr;
+  /// Plain counters for one caller's share of the decision work (one
+  /// shard's, see EconomicPolicy::ProposeActionsForShard). Required when
+  /// `candidates` or `avail_cache` is set; FlushTally adds it to their
+  /// shared totals.
+  DecisionTally* tally = nullptr;
+
+  /// Adds `*tally` to the totals of `candidates` and `avail_cache` and
+  /// zeroes it.
+  void FlushTally() const;
 };
 
 /// \brief Generates the epoch's proposed actions. Stateless except for
@@ -145,7 +183,7 @@ class DecisionEngine {
       const Cluster& cluster, const RingCatalog& catalog,
       const VNodeRegistry& vnodes,
       const std::vector<RingPolicy>& policies,
-      const PartitionStatsMap& stats,
+      const PartitionStatsTable& stats,
       RentSurcharge* surcharge = nullptr,
       const ProposeContext* pctx = nullptr) const;
 
@@ -155,7 +193,7 @@ class DecisionEngine {
                                  const RingCatalog& catalog,
                                  const VNodeRegistry& vnodes,
                                  const std::vector<RingPolicy>& policies,
-                                 const PartitionStatsMap& stats,
+                                 const PartitionStatsTable& stats,
                                  const ProposeContext* pctx = nullptr) const;
 
   /// \brief Both passes restricted to an explicit partition list — one
@@ -173,7 +211,7 @@ class DecisionEngine {
       const Cluster& cluster,
       const std::vector<const Partition*>& partitions,
       const VNodeRegistry& vnodes, const std::vector<RingPolicy>& policies,
-      const PartitionStatsMap& stats,
+      const PartitionStatsTable& stats,
       const ProposeContext* pctx = nullptr) const;
 
  private:
@@ -187,7 +225,7 @@ class DecisionEngine {
   void ProposeEconomic(const Cluster& cluster, const Partition& partition,
                        const VNodeRegistry& vnodes,
                        const std::vector<RingPolicy>& policies,
-                       const PartitionStatsMap& stats,
+                       const PartitionStatsTable& stats,
                        RentSurcharge* surcharge,
                        std::vector<Action>* actions,
                        const ProposeContext* pctx) const;

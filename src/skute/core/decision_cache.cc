@@ -29,25 +29,32 @@ void ProposalCache::PrepareEpoch(PartitionId id_bound,
 }
 
 double ProposalCache::AvailabilityOf(const Partition& p,
-                                     const Cluster& cluster) {
+                                     const Cluster& cluster, Tally* tally) {
   if (p.id() >= entries_.size()) {
     // Partition created after PrepareEpoch — cannot happen mid-pipeline,
     // but direct engine callers may race a split; stay exact, uncached.
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    ++tally->misses;
     return AvailabilityModel::OfPartition(p, cluster);
   }
   Entry& e = entries_[p.id()];
   if (e.valid && e.topology_version == topology_version_ &&
       SameReplicas(e.replicas, p.replicas())) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
+    ++tally->hits;
     return e.avail;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  ++tally->misses;
   e.avail = AvailabilityModel::OfPartition(p, cluster);
   e.topology_version = topology_version_;
   e.replicas = p.replicas();
   e.valid = true;
   return e.avail;
+}
+
+void ProposalCache::AddTally(const Tally& tally) {
+  hits_.fetch_add(tally.hits, std::memory_order_relaxed);
+  misses_.fetch_add(tally.misses, std::memory_order_relaxed);
+  clean_.fetch_add(tally.clean, std::memory_order_relaxed);
+  dirty_.fetch_add(tally.dirty, std::memory_order_relaxed);
 }
 
 }  // namespace skute

@@ -52,9 +52,19 @@ struct DecisionPlaneStats {
 /// Thread-safety: PrepareEpoch is called serially (the proposal stage's
 /// prepare step) before the shard fan-out; after that each partition id
 /// is touched by exactly one shard, so entry accesses are disjoint.
-/// Counters are relaxed atomics (sums are thread-count independent).
+/// Counters are relaxed atomics, fed once per shard from a plain Tally
+/// (sums are thread-count independent).
 class ProposalCache {
  public:
+  /// Plain counters for one caller's share of the work (one decision
+  /// shard's), added to the totals once with AddTally.
+  struct Tally {
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    uint64_t clean = 0;
+    uint64_t dirty = 0;
+  };
+
   ProposalCache() = default;
   ProposalCache(const ProposalCache&) = delete;
   ProposalCache& operator=(const ProposalCache&) = delete;
@@ -65,11 +75,14 @@ class ProposalCache {
 
   /// Eq. 2 availability of `p`'s live replica set, reusing last epoch's
   /// value when the inputs are provably unchanged; always bit-identical
-  /// to AvailabilityModel::OfPartition(p, cluster).
-  double AvailabilityOf(const Partition& p, const Cluster& cluster);
+  /// to AvailabilityModel::OfPartition(p, cluster). The hit or miss is
+  /// counted into `tally` (required), which the caller adds to the
+  /// totals with AddTally.
+  double AvailabilityOf(const Partition& p, const Cluster& cluster,
+                        Tally* tally);
 
-  void CountClean() { clean_.fetch_add(1, std::memory_order_relaxed); }
-  void CountDirty() { dirty_.fetch_add(1, std::memory_order_relaxed); }
+  /// Adds a caller's tally to the totals (thread-safe).
+  void AddTally(const Tally& tally);
 
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const {

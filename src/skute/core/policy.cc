@@ -37,6 +37,19 @@ void EconomicPolicy::BeginProposalEpoch(
   }
 }
 
+std::vector<Action> EconomicPolicy::ProposeActionsForShard(
+    const Cluster& cluster, const std::vector<const Partition*>& shard,
+    const VNodeRegistry& vnodes, const std::vector<RingPolicy>& policies,
+    const PartitionStatsTable& stats) const {
+  DecisionTally tally;
+  ProposeContext pctx = pctx_;
+  pctx.tally = &tally;
+  std::vector<Action> actions = engine_.ProposeForPartitions(
+      cluster, shard, vnodes, policies, stats, &pctx);
+  pctx.FlushTally();
+  return actions;
+}
+
 DecisionPlaneStats EconomicPolicy::decision_stats() const {
   DecisionPlaneStats s;
   s.epochs_prepared = epochs_prepared_;

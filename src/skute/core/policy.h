@@ -29,7 +29,7 @@ class PlacementPolicy {
   virtual std::vector<Action> ProposeActions(
       const Cluster& cluster, const RingCatalog& catalog,
       const VNodeRegistry& vnodes, const std::vector<RingPolicy>& policies,
-      const PartitionStatsMap& stats) = 0;
+      const PartitionStatsTable& stats) = 0;
 
   /// \brief Sharded proposal support. When true, the epoch pipeline calls
   /// ProposeActionsForShard once per partition shard — concurrently, from
@@ -46,7 +46,7 @@ class PlacementPolicy {
   virtual std::vector<Action> ProposeActionsForShard(
       const Cluster& cluster, const std::vector<const Partition*>& shard,
       const VNodeRegistry& vnodes, const std::vector<RingPolicy>& policies,
-      const PartitionStatsMap& stats) const {
+      const PartitionStatsTable& stats) const {
     (void)cluster;
     (void)shard;
     (void)vnodes;
@@ -101,7 +101,7 @@ class EconomicPolicy : public PlacementPolicy {
   std::vector<Action> ProposeActions(
       const Cluster& cluster, const RingCatalog& catalog,
       const VNodeRegistry& vnodes, const std::vector<RingPolicy>& policies,
-      const PartitionStatsMap& stats) override {
+      const PartitionStatsTable& stats) override {
     return engine_.ProposeAll(cluster, catalog, vnodes, policies, stats);
   }
 
@@ -109,13 +109,12 @@ class EconomicPolicy : public PlacementPolicy {
   /// state, so shards can run concurrently.
   bool SupportsShardedProposals() const override { return true; }
 
+  /// Runs the engine over one shard with a per-shard copy of the epoch's
+  /// ProposeContext whose plain tally is added to the totals once.
   std::vector<Action> ProposeActionsForShard(
       const Cluster& cluster, const std::vector<const Partition*>& shard,
       const VNodeRegistry& vnodes, const std::vector<RingPolicy>& policies,
-      const PartitionStatsMap& stats) const override {
-    return engine_.ProposeForPartitions(cluster, shard, vnodes, policies,
-                                        stats, &pctx_);
-  }
+      const PartitionStatsTable& stats) const override;
 
   void BeginProposalEpoch(const Cluster& cluster, const RingCatalog& catalog,
                           const std::vector<RingPolicy>& policies,

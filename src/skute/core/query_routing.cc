@@ -116,7 +116,7 @@ namespace {
 /// Counter merges of one accumulator — everything ApplyRouteAccum does
 /// except capacity admission. Shared by the sequential and batched
 /// appliers so their accounting can never drift apart.
-void MergeAccumCounters(const RouteAccum& accum, PartitionStatsMap* stats,
+void MergeAccumCounters(const RouteAccum& accum, PartitionStatsTable* stats,
                         std::vector<uint64_t>* ring_queries_epoch,
                         CommStats* comm_epoch, RouteResult* result) {
   for (const auto& [partition, queries] : accum.partition_queries) {
@@ -135,7 +135,7 @@ void MergeAccumCounters(const RouteAccum& accum, PartitionStatsMap* stats,
 
 }  // namespace
 
-void ApplyRouteAccum(const RouteAccum& accum, PartitionStatsMap* stats,
+void ApplyRouteAccum(const RouteAccum& accum, PartitionStatsTable* stats,
                      std::vector<uint64_t>* ring_queries_epoch,
                      CommStats* comm_epoch, RouteResult* result) {
   MergeAccumCounters(accum, stats, ring_queries_epoch, comm_epoch, result);
@@ -149,7 +149,7 @@ void ApplyRouteAccum(const RouteAccum& accum, PartitionStatsMap* stats,
 }
 
 void ApplyRouteAccumsBatched(const std::vector<RouteAccum>& accums,
-                             PartitionStatsMap* stats,
+                             PartitionStatsTable* stats,
                              std::vector<uint64_t>* ring_queries_epoch,
                              CommStats* comm_epoch, RouteResult* result) {
   // Counter merges, in shard order (identical to the sequential loop).
@@ -158,19 +158,25 @@ void ApplyRouteAccumsBatched(const std::vector<RouteAccum>& accums,
                        result);
   }
 
-  // Pass 1: total demand per server, servers in first-appearance order.
+  // Pass 1: total demand per server, servers in first-appearance order;
+  // `slot` maps a ServerId to its entry in `demands`.
   struct ServerDemand {
     Server* server = nullptr;
     uint64_t total = 0;
     uint64_t granted = 0;
   };
+  constexpr size_t kNoSlot = ~size_t{0};
   std::vector<ServerDemand> demands;
-  std::unordered_map<Server*, size_t> index;
+  std::vector<size_t> slot;
   for (const RouteAccum& accum : accums) {
     for (const RouteShare& s : accum.shares) {
-      const auto [it, inserted] = index.try_emplace(s.server, demands.size());
-      if (inserted) demands.push_back(ServerDemand{s.server, 0, 0});
-      demands[it->second].total += s.share;
+      const ServerId id = s.server->id();
+      if (id >= slot.size()) slot.resize(id + 1, kNoSlot);
+      if (slot[id] == kNoSlot) {
+        slot[id] = demands.size();
+        demands.push_back(ServerDemand{s.server, 0, 0});
+      }
+      demands[slot[id]].total += s.share;
     }
   }
 
@@ -184,7 +190,7 @@ void ApplyRouteAccumsBatched(const std::vector<RouteAccum>& accums,
   // the greedy prefix, exactly what sequential admission produced.
   for (const RouteAccum& accum : accums) {
     for (const RouteShare& s : accum.shares) {
-      ServerDemand& d = demands[index.at(s.server)];
+      ServerDemand& d = demands[slot[s.server->id()]];
       const uint64_t served = std::min(s.share, d.granted);
       d.granted -= served;
       if (s.vnode != nullptr) {

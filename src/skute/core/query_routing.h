@@ -1,8 +1,8 @@
 #ifndef SKUTE_CORE_QUERY_ROUTING_H_
 #define SKUTE_CORE_QUERY_ROUTING_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -15,36 +15,37 @@
 
 namespace skute {
 
-/// \brief One epoch's aggregate query workload: partition -> requested
+/// \brief One epoch's aggregate query workload: partition id -> requested
 /// query count. Workload generators fill a batch without touching the
 /// store; SkuteStore::RouteQueryBatch routes it in one sharded pass over
-/// the engine's worker pool (the RouteStage).
+/// the engine's worker pool (the RouteStage). Partition ids are dense and
+/// never reused, so the counts are a vector indexed by id; a read past
+/// the end is zero.
 class QueryBatch {
  public:
   /// Accumulates `count` queries against a partition (0 is a no-op).
-  void Add(const Partition* partition, uint64_t count) {
-    if (partition == nullptr || count == 0) return;
+  void Add(PartitionId partition, uint64_t count) {
+    if (partition == kInvalidPartition || count == 0) return;
+    if (partition >= counts_.size()) counts_.resize(partition + 1, 0);
     counts_[partition] += count;
     total_ += count;
   }
 
   /// Requested queries for one partition (0 when absent).
-  uint64_t CountFor(const Partition* partition) const {
-    const auto it = counts_.find(partition);
-    return it == counts_.end() ? 0 : it->second;
+  uint64_t CountFor(PartitionId partition) const {
+    return partition < counts_.size() ? counts_[partition] : 0;
   }
 
   uint64_t total() const { return total_; }
-  size_t partitions() const { return counts_.size(); }
-  bool empty() const { return counts_.empty(); }
+  bool empty() const { return total_ == 0; }
 
   void Clear() {
-    counts_.clear();
+    std::fill(counts_.begin(), counts_.end(), 0);
     total_ = 0;
   }
 
  private:
-  std::unordered_map<const Partition*, uint64_t> counts_;
+  std::vector<uint64_t> counts_;
   uint64_t total_ = 0;
 };
 
@@ -120,7 +121,7 @@ void ComputePartitionRoute(Cluster* cluster, VNodeRegistry* vnodes,
 /// contract of the parallel query plane. Serial convenience path
 /// (SkuteStore::RouteQueriesToPartition); batch traffic goes through
 /// ApplyRouteAccumsBatched.
-void ApplyRouteAccum(const RouteAccum& accum, PartitionStatsMap* stats,
+void ApplyRouteAccum(const RouteAccum& accum, PartitionStatsTable* stats,
                      std::vector<uint64_t>* ring_queries_epoch,
                      CommStats* comm_epoch, RouteResult* result);
 
@@ -138,7 +139,7 @@ void ApplyRouteAccum(const RouteAccum& accum, PartitionStatsMap* stats,
 /// with one admission pass per server per batch. Must run on one thread,
 /// accumulators in shard order.
 void ApplyRouteAccumsBatched(const std::vector<RouteAccum>& accums,
-                             PartitionStatsMap* stats,
+                             PartitionStatsTable* stats,
                              std::vector<uint64_t>* ring_queries_epoch,
                              CommStats* comm_epoch, RouteResult* result);
 

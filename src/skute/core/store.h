@@ -5,7 +5,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -239,7 +238,7 @@ class SkuteStore {
 
   /// Per-partition traffic counters of the current/just-closed epoch
   /// (what the decision passes price against).
-  const PartitionStatsMap& partition_stats() const { return stats_; }
+  const PartitionStatsTable& partition_stats() const { return stats_; }
 
   /// Communication overhead of the current/just-closed epoch and the
   /// lifetime totals (the paper's future-work metric).
@@ -336,7 +335,7 @@ class SkuteStore {
   std::vector<RingPolicy> policies_;
 
   Epoch epoch_ = 0;
-  PartitionStatsMap stats_;
+  PartitionStatsTable stats_;
   /// Log-shipping bookkeeping: partitions whose primary absorbed writes
   /// that secondaries have not seen yet (synced + cleared by the
   /// durability stage each epoch).

@@ -1,7 +1,7 @@
 #ifndef SKUTE_CORE_VNODE_H_
 #define SKUTE_CORE_VNODE_H_
 
-#include <unordered_map>
+#include <deque>
 
 #include "skute/common/result.h"
 #include "skute/common/units.h"
@@ -48,35 +48,54 @@ struct VirtualNode {
   }
 };
 
-/// \brief Owner of all live vnode agents, keyed by id.
+/// \brief Owner of all live vnode agents, indexed by id.
+///
+/// Vnode ids come from RingCatalog::AllocateVNodeId: dense and never
+/// reused, so slot `id` of a deque holds vnode `id` and a lookup is a
+/// bounds check and an indexed load. A slot whose `id` differs from its
+/// index (never created, or removed) is dead. A deque, not a vector:
+/// growing it at the end keeps every existing VirtualNode in place, so
+/// references handed out earlier stay valid across later creates.
 class VNodeRegistry {
  public:
   explicit VNodeRegistry(int balance_window)
       : balance_window_(balance_window) {}
 
-  /// Creates an agent for a fresh replica and returns it.
+  /// Creates an agent for a fresh replica and returns it. A live `id`
+  /// keeps its agent, which is returned unchanged; kInvalidVNode is
+  /// refused (nullptr).
   VirtualNode* Create(VNodeId id, PartitionId partition, RingId ring,
                       ServerId server, Epoch epoch);
 
-  VirtualNode* Find(VNodeId id);
-  const VirtualNode* Find(VNodeId id) const;
+  VirtualNode* Find(VNodeId id) {
+    return id < nodes_.size() && nodes_[id].id == id ? &nodes_[id]
+                                                     : nullptr;
+  }
+  const VirtualNode* Find(VNodeId id) const {
+    return id < nodes_.size() && nodes_[id].id == id ? &nodes_[id]
+                                                     : nullptr;
+  }
 
   /// Removes an agent (suicide, failure); NotFound when unknown.
   Status Remove(VNodeId id);
 
-  size_t size() const { return nodes_.size(); }
+  /// Live agents.
+  size_t size() const { return live_; }
 
-  /// Iteration over all agents (unordered).
+  /// Iteration over the live agents, in id order.
   template <typename Fn>
   void ForEach(Fn&& fn) {
-    for (auto& [id, node] : nodes_) fn(&node);
+    for (size_t i = 0; i < nodes_.size(); ++i) {
+      if (nodes_[i].id == i) fn(&nodes_[i]);
+    }
   }
 
   int balance_window() const { return balance_window_; }
 
  private:
   int balance_window_;
-  std::unordered_map<VNodeId, VirtualNode> nodes_;
+  size_t live_ = 0;
+  std::deque<VirtualNode> nodes_;
 };
 
 }  // namespace skute

@@ -120,17 +120,27 @@ const CandidateContext::MixOrder* CandidateContext::FindOrder(
   return nullptr;
 }
 
+void CandidateContext::AddTally(const SelectTally& tally) const {
+  counters_.select_calls.fetch_add(tally.select_calls,
+                                   std::memory_order_relaxed);
+  counters_.candidates_scored.fetch_add(tally.candidates_scored,
+                                        std::memory_order_relaxed);
+  counters_.full_scans.fetch_add(tally.full_scans,
+                                 std::memory_order_relaxed);
+}
+
 Result<CandidateChoice> CandidateContext::Select(
     const std::vector<ServerId>& replica_servers, uint64_t bytes_needed,
     const ClientMix* mix, const std::vector<ServerId>& exclude,
-    const RentSurcharge* surcharge, uint64_t tie_break_salt) const {
+    const RentSurcharge* surcharge, uint64_t tie_break_salt,
+    SelectTally* tally) const {
   if (cluster_ == nullptr) {
     return Status::FailedPrecondition("CandidateContext not built");
   }
-  counters_.select_calls.fetch_add(1, std::memory_order_relaxed);
+  ++tally->select_calls;
   const MixOrder* mo = FindOrder(mix);
   if (cluster_->size() != server_count_ || mo == nullptr || !mo->safe) {
-    counters_.full_scans.fetch_add(1, std::memory_order_relaxed);
+    ++tally->full_scans;
     return SelectTargetForSet(*cluster_, replica_servers, bytes_needed, mix,
                               params_, exclude, surcharge, tie_break_salt);
   }
@@ -209,7 +219,7 @@ Result<CandidateChoice> CandidateContext::Select(
       found = true;
     }
   }
-  counters_.candidates_scored.fetch_add(scored, std::memory_order_relaxed);
+  tally->candidates_scored += scored;
 
   if (!found) {
     return Status::NotFound("no feasible replica target");

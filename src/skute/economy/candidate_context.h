@@ -20,6 +20,15 @@ namespace skute {
 using IndexedRunner =
     std::function<void(size_t count, const std::function<void(size_t)>& fn)>;
 
+/// Plain Eq. 3 scan counters for one caller's share of the selects (one
+/// decision shard's), added to a CandidateContext's totals once with
+/// AddTally instead of through shared atomics on every select.
+struct SelectTally {
+  uint64_t select_calls = 0;
+  uint64_t candidates_scored = 0;
+  uint64_t full_scans = 0;
+};
+
 /// \brief Per-epoch snapshot of everything Eq. 3's candidate scan reads
 /// that does not depend on the partition being placed.
 ///
@@ -63,9 +72,9 @@ using IndexedRunner =
 class CandidateContext {
  public:
   /// Cumulative scan counters (relaxed atomics: totals are sums over
-  /// per-shard work that is identical for any thread count, so the
-  /// values are deterministic). Never reset by Build(), so they count
-  /// across the context's whole lifetime.
+  /// per-shard tallies whose content is identical for any thread count,
+  /// so the values are deterministic). Never reset by Build(), so they
+  /// count across the context's whole lifetime.
   struct Counters {
     std::atomic<uint64_t> select_calls{0};
     std::atomic<uint64_t> candidates_scored{0};
@@ -87,12 +96,18 @@ class CandidateContext {
              const IndexedRunner& run_indexed = {});
 
   /// Exact drop-in for SelectTargetForSet over the Build()-time cluster:
-  /// same winner, same score, bit for bit (see class comment).
+  /// same winner, same score, bit for bit (see class comment). The call
+  /// is counted into `tally` (required), which the caller adds to the
+  /// totals with AddTally.
   Result<CandidateChoice> Select(const std::vector<ServerId>& replica_servers,
                                  uint64_t bytes_needed, const ClientMix* mix,
                                  const std::vector<ServerId>& exclude,
                                  const RentSurcharge* surcharge,
-                                 uint64_t tie_break_salt) const;
+                                 uint64_t tie_break_salt,
+                                 SelectTally* tally) const;
+
+  /// Adds a caller's tally to the totals (thread-safe).
+  void AddTally(const SelectTally& tally) const;
 
   bool ready() const { return cluster_ != nullptr; }
   const Counters& counters() const { return counters_; }

@@ -59,7 +59,7 @@ class EpochContext {
   // --- Per-epoch mutable state (borrowed from the store) ------------------
   Epoch* epoch = nullptr;
   uint64_t seed = 0;  // store seed; salts the per-shard RNG streams
-  PartitionStatsMap* stats = nullptr;
+  PartitionStatsTable* stats = nullptr;
   std::vector<uint64_t>* ring_queries_epoch = nullptr;
   std::vector<double>* ring_spend_epoch = nullptr;
   std::vector<double>* ring_spend_total = nullptr;

@@ -15,7 +15,7 @@ namespace skute {
 
 void PublishPricesStage::Run(EpochContext& ctx) {
   ctx.cluster->BeginEpoch();
-  ctx.stats->clear();
+  ctx.stats->Clear();
   ctx.vnodes->ForEach([](VirtualNode* v) { v->ResetEpochCounters(); });
   std::fill(ctx.ring_queries_epoch->begin(), ctx.ring_queries_epoch->end(),
             0);
@@ -47,7 +47,7 @@ void RouteStage::Run(EpochContext& ctx) {
   ctx.RunSharded([&](size_t shard, Rng* /*rng*/) {
     RouteAccum& accum = accums[shard];
     for (const Partition* p : plan.shard(shard)) {
-      const uint64_t count = batch->CountFor(p);
+      const uint64_t count = batch->CountFor(p->id());
       if (count == 0) continue;
       const ClientMix* mix =
           ctx.policies != nullptr && p->ring() < ctx.policies->size()

@@ -271,15 +271,17 @@ ScenarioRunner::Outcome ScenarioRunner::Execute(const ScenarioSpec& spec,
 
   const ScenarioContext ctx{sim, overrides,
                             static_cast<int>(series.size())};
+  // The skip follows the planned run length, not the rows produced: a
+  // run that stop_when ended early is a finished run and is judged.
   if (spec.checks_require_epochs > 0 &&
-      series.size() <= static_cast<size_t>(spec.checks_require_epochs)) {
+      epochs <= spec.checks_require_epochs) {
     if (options.print) {
       std::printf("run too short for the %s summary (need > %llu epochs, "
-                  "have %zu); skipping shape checks\n",
+                  "have %d); skipping shape checks\n",
                   spec.name.c_str(),
                   static_cast<unsigned long long>(
                       spec.checks_require_epochs),
-                  series.size());
+                  epochs);
     }
     return outcome;
   }

@@ -172,8 +172,9 @@ struct ScenarioSpec {
   std::optional<InsertWorkloadOptions> inserts;
 
   /// Shape checks (and `summarize`) are skipped uniformly when the run
-  /// produced <= this many metric rows — short --epochs runs smoke the
-  /// scenario without tripping out-of-range summaries.
+  /// is planned for <= this many epochs — short --epochs runs smoke the
+  /// scenario without tripping out-of-range summaries. A run that
+  /// `stop_when` ends early is still judged.
   Epoch checks_require_epochs = 0;
 
   /// Optional hooks, called in lifecycle order. `before_run` and

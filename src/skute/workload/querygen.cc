@@ -33,7 +33,7 @@ Result<QueryBatch> QueryGenerator::BuildEpochBatch(
     for (const auto& p : ring->partitions()) {
       const double lambda =
           ring_rate * p->popularity_weight() / total_weight;
-      batch.Add(p.get(), rng_.Poisson(lambda));
+      batch.Add(p->id(), rng_.Poisson(lambda));
     }
   }
   return batch;

@@ -149,6 +149,7 @@ TEST_F(DecisionCacheTest, SelectMatchesFullScanAcrossCases) {
   const std::vector<uint64_t> sizes = {0, 64 * kMB, 4 * kGiB, 64 * kGiB};
   const std::vector<const ClientMix*> mixes = {nullptr, &mix};
 
+  SelectTally tally;
   size_t cases = 0;
   for (const auto& replicas : replica_sets) {
     for (const auto& exclude : excludes) {
@@ -160,7 +161,7 @@ TEST_F(DecisionCacheTest, SelectMatchesFullScanAcrossCases) {
                   cluster_, replicas, bytes, m, params_.candidate, exclude,
                   surcharge, salt);
               const auto fast = ctx.Select(replicas, bytes, m, exclude,
-                                           surcharge, salt);
+                                           surcharge, salt, &tally);
               ASSERT_EQ(full.ok(), fast.ok())
                   << "case " << cases << " status diverged";
               if (full.ok()) {
@@ -175,6 +176,7 @@ TEST_F(DecisionCacheTest, SelectMatchesFullScanAcrossCases) {
     }
   }
   EXPECT_GT(cases, 900u);
+  ctx.AddTally(tally);
   // The pruned path really pruned: far fewer candidates than a full scan
   // per call would touch — and no silent fallback to full scans.
   const auto& c = ctx.counters();
@@ -189,19 +191,22 @@ TEST_F(DecisionCacheTest, SelectUnknownMixFallsBackAndStaysExact) {
   const auto full = SelectTargetForSet(cluster_, {At(0, 0, 0, 0)}, 0,
                                        &stranger, params_.candidate, {},
                                        nullptr, 3);
+  SelectTally tally;
   const auto fast =
-      ctx.Select({At(0, 0, 0, 0)}, 0, &stranger, {}, nullptr, 3);
+      ctx.Select({At(0, 0, 0, 0)}, 0, &stranger, {}, nullptr, 3, &tally);
   ASSERT_TRUE(full.ok());
   ASSERT_TRUE(fast.ok());
   EXPECT_EQ(full->server, fast->server);
   EXPECT_EQ(full->score, fast->score);
+  ctx.AddTally(tally);
   EXPECT_EQ(ctx.counters().full_scans.load(), 1u);
 }
 
 TEST_F(DecisionCacheTest, SelectNotBuiltIsFailedPrecondition) {
   CandidateContext ctx;
   EXPECT_FALSE(ctx.ready());
-  const auto r = ctx.Select({}, 0, nullptr, {}, nullptr, 0);
+  SelectTally tally;
+  const auto r = ctx.Select({}, 0, nullptr, {}, nullptr, 0, &tally);
   EXPECT_TRUE(r.status().IsFailedPrecondition());
 }
 
@@ -210,8 +215,9 @@ TEST_F(DecisionCacheTest, SelectNotBuiltIsFailedPrecondition) {
 TEST_F(DecisionCacheTest, RebuildAfterPriceChangeStaysExact) {
   CandidateContext ctx;
   ctx.Build(cluster_, params_.candidate, {nullptr});
+  SelectTally tally;
   const auto before = ctx.Select({At(0, 0, 0, 0)}, 0, nullptr, {}, nullptr,
-                                 /*salt=*/1);
+                                 /*salt=*/1, &tally);
   ASSERT_TRUE(before.ok());
 
   // Load up the previous winner so its Eq. 1 rent jumps next epoch.
@@ -227,7 +233,7 @@ TEST_F(DecisionCacheTest, RebuildAfterPriceChangeStaysExact) {
                                        nullptr, params_.candidate, {},
                                        nullptr, 1);
   const auto fast =
-      ctx.Select({At(0, 0, 0, 0)}, 0, nullptr, {}, nullptr, 1);
+      ctx.Select({At(0, 0, 0, 0)}, 0, nullptr, {}, nullptr, 1, &tally);
   ASSERT_TRUE(full.ok());
   ASSERT_TRUE(fast.ok());
   EXPECT_EQ(full->server, fast->server);
@@ -242,21 +248,27 @@ TEST_F(DecisionCacheTest, AvailabilityCacheHitsOnQuietEpochsOnly) {
   AddReplica(p, At(1, 0, 0, 0));
 
   ProposalCache cache;
+  const auto availability_of = [&](const Partition& partition) {
+    ProposalCache::Tally tally;
+    const double avail = cache.AvailabilityOf(partition, cluster_, &tally);
+    cache.AddTally(tally);
+    return avail;
+  };
   cache.PrepareEpoch(catalog_.partition_id_bound(),
                      cluster_.topology_version());
-  const double a1 = cache.AvailabilityOf(*p, cluster_);
+  const double a1 = availability_of(*p);
   EXPECT_EQ(a1, AvailabilityModel::OfPartition(*p, cluster_));
   EXPECT_EQ(cache.misses(), 1u);
 
   // Second lookup in the same epoch (repair + economic share it): hit.
-  EXPECT_EQ(cache.AvailabilityOf(*p, cluster_), a1);
+  EXPECT_EQ(availability_of(*p), a1);
   EXPECT_EQ(cache.hits(), 1u);
 
   // Quiet next epoch: still a hit.
   cluster_.BeginEpoch();
   cache.PrepareEpoch(catalog_.partition_id_bound(),
                      cluster_.topology_version());
-  EXPECT_EQ(cache.AvailabilityOf(*p, cluster_), a1);
+  EXPECT_EQ(availability_of(*p), a1);
   EXPECT_EQ(cache.hits(), 2u);
 
   // A failure bumps the topology version: recompute, and the value must
@@ -264,7 +276,7 @@ TEST_F(DecisionCacheTest, AvailabilityCacheHitsOnQuietEpochsOnly) {
   ASSERT_TRUE(cluster_.FailServer(At(1, 0, 0, 0)).ok());
   cache.PrepareEpoch(catalog_.partition_id_bound(),
                      cluster_.topology_version());
-  const double a2 = cache.AvailabilityOf(*p, cluster_);
+  const double a2 = availability_of(*p);
   EXPECT_EQ(a2, AvailabilityModel::OfPartition(*p, cluster_));
   EXPECT_LT(a2, a1);
   EXPECT_EQ(cache.misses(), 2u);
@@ -273,12 +285,12 @@ TEST_F(DecisionCacheTest, AvailabilityCacheHitsOnQuietEpochsOnly) {
   ASSERT_TRUE(cluster_.RecoverServer(At(1, 0, 0, 0)).ok());
   cache.PrepareEpoch(catalog_.partition_id_bound(),
                      cluster_.topology_version());
-  (void)cache.AvailabilityOf(*p, cluster_);
+  (void)availability_of(*p);
   const uint64_t misses_before = cache.misses();
   AddReplica(p, At(0, 1, 0, 0));
   cache.PrepareEpoch(catalog_.partition_id_bound(),
                      cluster_.topology_version());
-  EXPECT_EQ(cache.AvailabilityOf(*p, cluster_),
+  EXPECT_EQ(availability_of(*p),
             AvailabilityModel::OfPartition(*p, cluster_));
   EXPECT_EQ(cache.misses(), misses_before + 1);
 }
@@ -306,7 +318,7 @@ TEST_F(DecisionCacheTest, ProposeAllCachedMatchesUncachedEpochByEpoch) {
   for (int i = 0; i < params_.balance_window; ++i) {
     hot->balance.Record(5.0);
   }
-  PartitionStatsMap stats;
+  PartitionStatsTable stats;
   stats[growing->id()].queries = 10000;
 
   Partition* quiet = catalog_.partition(3);
@@ -325,12 +337,15 @@ TEST_F(DecisionCacheTest, ProposeAllCachedMatchesUncachedEpochByEpoch) {
     avail_cache.PrepareEpoch(catalog_.partition_id_bound(),
                              cluster_.topology_version());
     const std::vector<uint8_t> flags = ComputeStreakFlags();
+    DecisionTally tally;
     ProposeContext pctx;
     pctx.candidates = &candidates;
     pctx.avail_cache = &avail_cache;
     pctx.streak_flags = &flags;
+    pctx.tally = &tally;
     const auto cached = engine.ProposeAll(cluster_, catalog_, vnodes_,
                                           policies_, stats, &pctx);
+    pctx.FlushTally();
 
     ExpectSameActions(uncached, cached);
     ASSERT_FALSE(cached.empty()) << "epoch " << epoch;
@@ -356,12 +371,16 @@ TEST_F(DecisionCacheTest, CachedProposalsTrackAFailureEvent) {
     avail_cache.PrepareEpoch(catalog_.partition_id_bound(),
                              cluster_.topology_version());
     const std::vector<uint8_t> flags = ComputeStreakFlags();
+    DecisionTally tally;
     ProposeContext pctx;
     pctx.candidates = &candidates;
     pctx.avail_cache = &avail_cache;
     pctx.streak_flags = &flags;
-    return engine.ProposeAll(cluster_, catalog_, vnodes_, policies_, {},
-                             &pctx);
+    pctx.tally = &tally;
+    auto actions = engine.ProposeAll(cluster_, catalog_, vnodes_, policies_,
+                                     {}, &pctx);
+    pctx.FlushTally();
+    return actions;
   };
 
   // Healthy epoch: nothing to do, and the cache holds the healthy value.
@@ -389,11 +408,15 @@ TEST_F(DecisionCacheTest, BalanceFlipRedirtiesACleanPartition) {
   auto run = [&](const std::vector<uint8_t>& flags) {
     avail_cache.PrepareEpoch(catalog_.partition_id_bound(),
                              cluster_.topology_version());
+    DecisionTally tally;
     ProposeContext pctx;
     pctx.avail_cache = &avail_cache;
     pctx.streak_flags = &flags;
-    return engine.ProposeAll(cluster_, catalog_, vnodes_, policies_, {},
-                             &pctx);
+    pctx.tally = &tally;
+    auto actions = engine.ProposeAll(cluster_, catalog_, vnodes_, policies_,
+                                     {}, &pctx);
+    pctx.FlushTally();
+    return actions;
   };
 
   // No streak anywhere: partition 0 is clean and skipped.
@@ -432,9 +455,11 @@ TEST_F(DecisionCacheTest, InvalidFlagsFallBackToTheInlineScan) {
   // All-zero flags (no kStreakFlagsValid): the engine must not trust
   // them — the inline vnode scan still finds the streak.
   const std::vector<uint8_t> flags(catalog_.partition_id_bound(), 0);
+  DecisionTally tally;
   ProposeContext pctx;
   pctx.avail_cache = &avail_cache;
   pctx.streak_flags = &flags;
+  pctx.tally = &tally;
   const auto cached = engine.ProposeAll(cluster_, catalog_, vnodes_,
                                         policies_, {}, &pctx);
   ASSERT_EQ(cached.size(), 1u);

@@ -197,12 +197,15 @@ TEST_F(DecisionTest, MinRentExitSkipsTheScanWhenNoTargetIsCheapEnough) {
   DecisionEngine engine(params_);
   CandidateContext candidates;
   candidates.Build(cluster_, params_.candidate, {nullptr});
+  DecisionTally tally;
   ProposeContext pctx;
   pctx.candidates = &candidates;
+  pctx.tally = &tally;
   EXPECT_TRUE(engine
                   .EconomicPass(cluster_, catalog_, vnodes_, policies_, {},
                                 nullptr, &pctx)
                   .empty());
+  pctx.FlushTally();
   EXPECT_EQ(candidates.counters().select_calls.load(), 0u);
 
   // Past the threshold the vnode scans once and migrates.
@@ -214,6 +217,7 @@ TEST_F(DecisionTest, MinRentExitSkipsTheScanWhenNoTargetIsCheapEnough) {
                                            policies_, {}, nullptr, &pctx);
   ASSERT_EQ(actions.size(), 1u);
   EXPECT_EQ(actions[0].type, ActionType::kMigrate);
+  pctx.FlushTally();
   EXPECT_EQ(candidates.counters().select_calls.load(), 1u);
 }
 
@@ -279,8 +283,10 @@ TEST_F(DecisionTest, MinRentExitOnlyFiresWhenTheWinnerFailsTheGate) {
 
     CandidateContext candidates;
     candidates.Build(cluster_, params_.candidate, {nullptr});
+    DecisionTally tally;
     ProposeContext pctx;
     pctx.candidates = &candidates;
+    pctx.tally = &tally;
     const auto actions = engine.EconomicPass(cluster_, catalog, vnodes,
                                              policies_, {}, &ledger, &pctx);
     ASSERT_EQ(actions.size(), expect_migrate ? 1u : 0u) << "trial " << trial;
@@ -289,6 +295,7 @@ TEST_F(DecisionTest, MinRentExitOnlyFiresWhenTheWinnerFailsTheGate) {
       EXPECT_EQ(actions[0].target, winner->server);
       ++migrated;
     }
+    pctx.FlushTally();
     if (candidates.counters().select_calls.load() == 0) {
       ++fired;
       EXPECT_GE(board.RentOf(winner->server), max_target_rent)
@@ -300,6 +307,152 @@ TEST_F(DecisionTest, MinRentExitOnlyFiresWhenTheWinnerFailsTheGate) {
   }
   EXPECT_GT(fired, 20u);
   EXPECT_GT(migrated, 20u);
+}
+
+// The replicate exit is exact: on random rents and traffic, the engine's
+// growth leg matches a reference decision from the full Eq. 3 scan, and
+// whenever the exit skips the scan (no select counted), the reference
+// rejected the replica.
+TEST_F(DecisionTest, ReplicateExitOnlyFiresWhenTheReferenceRejects) {
+  DecisionEngine engine(params_);
+  Rng rng(28);
+  size_t fired = 0;
+  size_t scanned_and_rejected = 0;
+  size_t replicated = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const double max_fill = rng.Uniform(0.0, 0.05);
+    std::vector<uint64_t> reserved(cluster_.size());
+    for (ServerId id = 0; id < cluster_.size(); ++id) {
+      Server* s = cluster_.server(id);
+      reserved[id] = static_cast<uint64_t>(
+          rng.Uniform(0.0, max_fill) *
+          static_cast<double>(s->resources().storage_capacity));
+      ASSERT_TRUE(s->ReserveStorage(reserved[id]).ok());
+    }
+    cluster_.BeginEpoch();
+    const Board& board = cluster_.board();
+
+    // One partition at exactly th whose second vnode holds a positive
+    // streak: it takes the growth leg.
+    RingCatalog catalog;
+    VNodeRegistry vnodes(params_.balance_window);
+    ASSERT_TRUE(catalog.CreateRing(0, 1).ok());
+    Partition* p = catalog.partition(0);
+    const auto pick = [&](uint32_t continent) {
+      return At(continent, static_cast<uint32_t>(rng.UniformInt(0, 1)),
+                static_cast<uint32_t>(rng.UniformInt(0, 1)),
+                static_cast<uint32_t>(rng.UniformInt(0, 1)));
+    };
+    const ServerId first = pick(0);
+    const ServerId second = pick(1);
+    for (ServerId server : {first, second}) {
+      const VNodeId vid = catalog.AllocateVNodeId();
+      ASSERT_TRUE(p->AddReplica(server, vid, 0).ok());
+      VirtualNode* v = vnodes.Create(vid, p->id(), p->ring(), server, 0);
+      for (int i = 0; server == second && i < params_.balance_window; ++i) {
+        v->balance.Record(0.5);
+      }
+    }
+    RentSurcharge ledger;
+    ledger.Add(pick(rng.UniformInt(0, 1) == 0 ? 0 : 1),
+               rng.Uniform(-0.2, 0.2));
+
+    // Reference: the full scan, then the popularity gate (g = 1).
+    const auto winner = SelectTargetForSet(
+        cluster_, {first, second}, p->bytes(), nullptr, params_.candidate,
+        {}, &ledger, /*tie_break_salt=*/p->id());
+    ASSERT_TRUE(winner.ok());
+
+    // Traffic whose projected utility lands around the two break-even
+    // points, the cheapest server's and the winner's, so the exit fires,
+    // the scan rejects, and the replica goes ahead.
+    PartitionStatsTable stats;
+    stats[p->id()].write_bytes =
+        static_cast<uint64_t>(rng.Uniform(0.0, 5.0e6));
+    const double consistency =
+        params_.consistency.Cost(3, stats.Get(p->id()).write_bytes);
+    const double floor_even = board.min_rent() + consistency;
+    const double winner_even = board.RentOf(winner->server) + consistency;
+    const double aim =
+        floor_even + rng.Uniform(-0.5, 1.5) * (winner_even - floor_even) +
+        rng.Uniform(-0.05, 0.05) * floor_even;
+    stats[p->id()].queries = static_cast<uint64_t>(
+        std::max(0.0, aim) * 3.0 / params_.utility.value_per_query);
+    const double utility =
+        params_.utility.value_per_query *
+        (static_cast<double>(stats.Get(p->id()).queries) / 3.0);
+    const bool expect_replicate = !(utility <= winner_even);
+
+    CandidateContext candidates;
+    candidates.Build(cluster_, params_.candidate, {nullptr});
+    DecisionTally tally;
+    ProposeContext pctx;
+    pctx.candidates = &candidates;
+    pctx.tally = &tally;
+    const auto actions = engine.EconomicPass(cluster_, catalog, vnodes,
+                                             policies_, stats, &ledger,
+                                             &pctx);
+    ASSERT_EQ(actions.size(), expect_replicate ? 1u : 0u)
+        << "trial " << trial;
+    if (expect_replicate) {
+      EXPECT_EQ(actions[0].type, ActionType::kReplicate);
+      EXPECT_EQ(actions[0].target, winner->server);
+      EXPECT_EQ(actions[0].score, winner->score);
+      ++replicated;
+    }
+    pctx.FlushTally();
+    if (candidates.counters().select_calls.load() == 0) {
+      ++fired;
+      EXPECT_FALSE(expect_replicate) << "trial " << trial;
+    } else if (!expect_replicate) {
+      ++scanned_and_rejected;
+    }
+    for (ServerId id = 0; id < cluster_.size(); ++id) {
+      ASSERT_TRUE(cluster_.server(id)->ReleaseStorage(reserved[id]).ok());
+    }
+  }
+  EXPECT_GT(fired, 30u);
+  EXPECT_GT(scanned_and_rejected, 10u);
+  EXPECT_GT(replicated, 30u);
+}
+
+// A ring with a client mix keeps the scan: the projected utility depends
+// on the target's proximity, so min_rent alone cannot settle the gate.
+TEST_F(DecisionTest, ReplicateExitLeavesMixedRingsOnTheScan) {
+  Partition* p = catalog_.partition(0);
+  AddReplica(p, At(0, 0, 0, 0));
+  VirtualNode* v = AddReplica(p, At(1, 0, 0, 0));
+  for (int i = 0; i < params_.balance_window; ++i) {
+    v->balance.Record(5.0);
+  }
+  PartitionStatsTable stats;
+  stats[p->id()].queries = 3;  // far below any rent
+
+  DecisionEngine engine(params_);
+  CandidateContext candidates;
+  candidates.Build(cluster_, params_.candidate, {nullptr});
+  DecisionTally tally;
+  ProposeContext pctx;
+  pctx.candidates = &candidates;
+  pctx.tally = &tally;
+  EXPECT_TRUE(engine
+                  .EconomicPass(cluster_, catalog_, vnodes_, policies_,
+                                stats, nullptr, &pctx)
+                  .empty());
+  pctx.FlushTally();
+  EXPECT_EQ(candidates.counters().select_calls.load(), 0u);
+
+  ClientMix mix;
+  mix.loads.push_back({Location::Of(0, 0, 0, 0, 0, 0), 10.0});
+  mix.loads.push_back({Location::Of(1, 0, 0, 0, 0, 0), 5.0});
+  policies_[0].mix = &mix;
+  candidates.Build(cluster_, params_.candidate, {nullptr, &mix});
+  EXPECT_TRUE(engine
+                  .EconomicPass(cluster_, catalog_, vnodes_, policies_,
+                                stats, nullptr, &pctx)
+                  .empty());
+  pctx.FlushTally();
+  EXPECT_EQ(candidates.counters().select_calls.load(), 1u);
 }
 
 TEST_F(DecisionTest, NoActionWithoutStreak) {
@@ -320,7 +473,7 @@ TEST_F(DecisionTest, PositiveStreakReplicatesWhenProfitable) {
   for (int i = 0; i < params_.balance_window; ++i) {
     v->balance.Record(5.0);
   }
-  PartitionStatsMap stats;
+  PartitionStatsTable stats;
   stats[p->id()].queries = 10000;  // plenty of demand
   DecisionEngine engine(params_);
   const auto actions =
@@ -337,7 +490,7 @@ TEST_F(DecisionTest, PositiveStreakDoesNotReplicateWithoutDemand) {
   for (int i = 0; i < params_.balance_window; ++i) {
     v->balance.Record(5.0);
   }
-  PartitionStatsMap stats;
+  PartitionStatsTable stats;
   stats[p->id()].queries = 3;  // projected share cannot cover rent
   DecisionEngine engine(params_);
   EXPECT_TRUE(
@@ -352,7 +505,7 @@ TEST_F(DecisionTest, WriteHeavyPartitionHesitatesToReplicate) {
   for (int i = 0; i < params_.balance_window; ++i) {
     v->balance.Record(5.0);
   }
-  PartitionStatsMap stats;
+  PartitionStatsTable stats;
   stats[p->id()].queries = 600;
   stats[p->id()].write_bytes = 0;
   DecisionEngine base_engine(params_);
@@ -376,7 +529,7 @@ TEST_F(DecisionTest, ReplicaCapBlocksEconomicReplication) {
   for (int i = 0; i < params_.balance_window; ++i) {
     v->balance.Record(5.0);
   }
-  PartitionStatsMap stats;
+  PartitionStatsTable stats;
   stats[p->id()].queries = 10000;
   DecisionEngine engine(params_);
   EXPECT_TRUE(

@@ -1,7 +1,7 @@
 // The query-routing core: deterministic largest-remainder apportionment
 // (the remainder-assignment bugfix), zero-weight target exclusion, the
-// QueryBatch container, and the share/apply split that makes the route
-// plane re-entrant.
+// QueryBatch container and partition stats table, and the share/apply
+// split that makes the route plane re-entrant.
 
 #include <memory>
 #include <numeric>
@@ -91,8 +91,8 @@ TEST(ApportionTest, PropertySharesSumToCountAndAreDeterministic) {
 TEST(QueryBatchTest, AccumulatesAndTotals) {
   VirtualRing ring(0, 0);
   ASSERT_TRUE(ring.InitializePartitions(2, 0).ok());
-  const Partition* a = ring.partitions()[0].get();
-  const Partition* b = ring.partitions()[1].get();
+  const PartitionId a = ring.partitions()[0]->id();
+  const PartitionId b = ring.partitions()[1]->id();
 
   QueryBatch batch;
   EXPECT_TRUE(batch.empty());
@@ -102,10 +102,58 @@ TEST(QueryBatchTest, AccumulatesAndTotals) {
   EXPECT_EQ(batch.CountFor(a), 15u);
   EXPECT_EQ(batch.CountFor(b), 0u);
   EXPECT_EQ(batch.total(), 15u);
-  EXPECT_EQ(batch.partitions(), 1u);
+  EXPECT_FALSE(batch.empty());
   batch.Clear();
   EXPECT_TRUE(batch.empty());
   EXPECT_EQ(batch.total(), 0u);
+}
+
+TEST(QueryBatchTest, ReadsPastTheEndAreZeroAndClearResets) {
+  QueryBatch batch;
+  EXPECT_EQ(batch.CountFor(0), 0u);
+  EXPECT_EQ(batch.CountFor(kInvalidPartition), 0u);
+  batch.Add(kInvalidPartition, 7);  // no-op
+  EXPECT_TRUE(batch.empty());
+
+  batch.Add(5, 3);
+  batch.Add(2, 4);
+  EXPECT_EQ(batch.CountFor(5), 3u);
+  EXPECT_EQ(batch.CountFor(2), 4u);
+  EXPECT_EQ(batch.CountFor(3), 0u);  // inside the table, never added
+  EXPECT_EQ(batch.CountFor(6), 0u);  // past the end
+  EXPECT_EQ(batch.total(), 7u);
+  EXPECT_FALSE(batch.empty());
+
+  batch.Clear();
+  EXPECT_TRUE(batch.empty());
+  EXPECT_EQ(batch.total(), 0u);
+  EXPECT_EQ(batch.CountFor(5), 0u);
+  EXPECT_EQ(batch.CountFor(2), 0u);
+  batch.Add(2, 1);  // counts again from zero
+  EXPECT_EQ(batch.CountFor(2), 1u);
+}
+
+TEST(PartitionStatsTableTest, ReadsPastTheEndAreZeroAndClearResets) {
+  PartitionStatsTable stats;
+  EXPECT_EQ(stats.Get(0).queries, 0u);
+  EXPECT_EQ(stats.Get(kInvalidPartition).write_bytes, 0u);
+
+  stats[4].queries += 9;
+  stats[4].write_bytes += 100;
+  stats[1].queries += 2;
+  EXPECT_EQ(stats.Get(4).queries, 9u);
+  EXPECT_EQ(stats.Get(4).write_bytes, 100u);
+  EXPECT_EQ(stats.Get(1).queries, 2u);
+  EXPECT_EQ(stats.Get(2).queries, 0u);  // inside the table, never written
+  EXPECT_EQ(stats.Get(5).queries, 0u);  // past the end
+
+  stats.Clear();
+  for (PartitionId id = 0; id < 6; ++id) {
+    EXPECT_EQ(stats.Get(id).queries, 0u) << id;
+    EXPECT_EQ(stats.Get(id).write_bytes, 0u) << id;
+  }
+  stats[4].queries += 1;  // counts again from zero
+  EXPECT_EQ(stats.Get(4).queries, 1u);
 }
 
 // --- Store-level routing semantics ------------------------------------------
@@ -229,7 +277,7 @@ TEST(RoutingStoreTest, BatchAndSerialRoutingAgreeBitForBit) {
   i = 0;
   for (const auto& p :
        batched.store->catalog().ring(batched.ring)->partitions()) {
-    batch.Add(p.get(), 100 + 13 * i++);
+    batch.Add(p->id(), 100 + 13 * i++);
   }
   const RouteResult result = batched.store->RouteQueryBatch(batch);
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "skute/common/hash.h"
+#include "skute/core/policy.h"
 #include "skute/core/store.h"
 #include "skute/topology/topology.h"
 
@@ -27,6 +28,7 @@ struct RunResult {
   CommStats comm_total;
   uint64_t lost_partitions = 0;
   uint64_t insert_failures = 0;
+  DecisionPlaneStats decision;
 };
 
 void ExpectEqualStats(const ExecutorStats& a, const ExecutorStats& b) {
@@ -38,6 +40,21 @@ void ExpectEqualStats(const ExecutorStats& a, const ExecutorStats& b) {
   EXPECT_EQ(a.aborted_stale, b.aborted_stale);
   EXPECT_EQ(a.bytes_replicated, b.bytes_replicated);
   EXPECT_EQ(a.bytes_migrated, b.bytes_migrated);
+}
+
+// Each shard tallies its decision counters in plain integers and adds
+// them to the totals once; a lost or double-counted shard tally shows up
+// as a thread-count difference.
+void ExpectEqualDecisionStats(const DecisionPlaneStats& a,
+                              const DecisionPlaneStats& b) {
+  EXPECT_EQ(a.epochs_prepared, b.epochs_prepared);
+  EXPECT_EQ(a.select_calls, b.select_calls);
+  EXPECT_EQ(a.candidates_scored, b.candidates_scored);
+  EXPECT_EQ(a.full_scan_selects, b.full_scan_selects);
+  EXPECT_EQ(a.partitions_clean, b.partitions_clean);
+  EXPECT_EQ(a.partitions_dirty, b.partitions_dirty);
+  EXPECT_EQ(a.avail_cache_hits, b.avail_cache_hits);
+  EXPECT_EQ(a.avail_cache_misses, b.avail_cache_misses);
 }
 
 void ExpectEqualReports(const RingReport& a, const RingReport& b) {
@@ -134,6 +151,10 @@ RunResult RunScenario(int threads) {
   result.comm_total = store.comm_total();
   result.lost_partitions = store.lost_partitions();
   result.insert_failures = store.insert_failures();
+  const auto* economic =
+      dynamic_cast<const EconomicPolicy*>(&store.placement_policy());
+  EXPECT_NE(economic, nullptr);
+  if (economic != nullptr) result.decision = economic->decision_stats();
   return result;
 }
 
@@ -156,11 +177,22 @@ TEST(EpochDeterminismTest, ThreadsOneAndFourProduceIdenticalRuns) {
             four.comm_total.consistency_bytes);
   EXPECT_EQ(one.lost_partitions, four.lost_partitions);
   EXPECT_EQ(one.insert_failures, four.insert_failures);
+  ExpectEqualDecisionStats(one.decision, four.decision);
 
   // The scenario must have actually exercised the decision plane, or the
   // comparison proves nothing.
   EXPECT_GT(one.total_stats.applied(), 0u);
   EXPECT_GT(one.placement_version, 0u);
+  EXPECT_EQ(one.decision.epochs_prepared, 20u);
+  EXPECT_GT(one.decision.select_calls, 0u);
+  EXPECT_GT(one.decision.candidates_scored, 0u);
+  EXPECT_GT(one.decision.partitions_clean, 0u);
+  EXPECT_GT(one.decision.partitions_dirty, 0u);
+  EXPECT_GT(one.decision.avail_cache_hits, 0u);
+  // The economic pass classifies each of the 48 partitions at most once
+  // per epoch.
+  EXPECT_LE(one.decision.partitions_clean + one.decision.partitions_dirty,
+            20u * 48u);
 }
 
 TEST(EpochDeterminismTest, RepeatedParallelRunsAreIdentical) {
@@ -168,6 +200,7 @@ TEST(EpochDeterminismTest, RepeatedParallelRunsAreIdentical) {
   const RunResult b = RunScenario(4);
   EXPECT_EQ(a.placement_version, b.placement_version);
   ExpectEqualStats(a.total_stats, b.total_stats);
+  ExpectEqualDecisionStats(a.decision, b.decision);
   EXPECT_EQ(a.vnodes_per_server, b.vnodes_per_server);
   ASSERT_EQ(a.reports.size(), b.reports.size());
   for (size_t i = 0; i < a.reports.size(); ++i) {

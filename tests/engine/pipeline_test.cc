@@ -134,7 +134,7 @@ TEST(EpochPipelineTest, StageTimersRecordEveryRun) {
   for (int i = 0; i < 3; ++i) {
     store.BeginEpoch();
     QueryBatch batch;
-    batch.Add(store.catalog().ring(0)->partitions()[0].get(), 10);
+    batch.Add(store.catalog().ring(0)->partitions()[0]->id(), 10);
     (void)store.RouteQueryBatch(batch);
     store.EndEpoch();
   }

@@ -102,10 +102,8 @@ RouteRunResult RunScenario(int threads, uint64_t capacity) {
       result.vnode_counters.push_back(v == nullptr ? 0
                                                    : v->queries_served);
     }
-    const auto it = store.partition_stats().find(p->id());
     result.partition_queries.emplace_back(
-        p->id(), it == store.partition_stats().end() ? 0
-                                                     : it->second.queries);
+        p->id(), store.partition_stats().Get(p->id()).queries);
   });
   result.served_per_ring_per_server =
       store.QueriesServedPerRingPerServer();

@@ -220,6 +220,34 @@ TEST(ScenarioRunnerTest, ShortRunSkipsChecksUniformly) {
   EXPECT_EQ(outcome.failed_checks, 0);
 }
 
+TEST(ScenarioRunnerTest, EarlyStopStillEvaluatesChecks) {
+  // Like fig5_saturation: a full-length run that stop_when ends before
+  // checks_require_epochs is still judged, so a run that stops early
+  // because something broke cannot pass by skipping its checks.
+  ScenarioSpec spec = TinySpec("early_stop_checks");
+  spec.default_epochs = 50;
+  spec.checks_require_epochs = 10;
+  spec.stop_when = [](const Simulation& sim) {
+    return sim.metrics().series().size() >= 5;
+  };
+  spec.checks = {{"fails when evaluated",
+                  [](const ScenarioContext&) -> ShapeCheckResult {
+                    return {false, "evaluated"};
+                  }}};
+  ScenarioRunner::Options options;
+  options.print = false;
+  const auto outcome =
+      ScenarioRunner::Execute(spec, RunOverrides{}, options);
+  ASSERT_TRUE(outcome.status.ok());
+  EXPECT_EQ(outcome.epochs_run, 5);
+  EXPECT_EQ(outcome.failed_checks, 1);
+
+  RunOverrides shorter;
+  shorter.epochs = 10;  // planned at the threshold: skipped
+  EXPECT_EQ(ScenarioRunner::Execute(spec, shorter, options).failed_checks,
+            0);
+}
+
 TEST(ScenarioRunnerTest, EpochsOverrideBeatsSpecDefault) {
   ScenarioSpec spec = TinySpec("override_epochs");
   spec.default_epochs = 3;

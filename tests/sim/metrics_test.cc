@@ -76,7 +76,7 @@ TEST_F(MetricsTest, LostQueriesAndRouteTimeCaptured) {
   }
   store_->BeginEpoch();
   QueryBatch batch;
-  batch.Add(p, 25);
+  batch.Add(p->id(), 25);
   (void)store_->RouteQueryBatch(batch);
   store_->EndEpoch();
   metrics.Snapshot(store_.get(), cluster_, 0, 25, 0, 0);
